@@ -9,14 +9,8 @@ the reproduction benches which run once and print tables.
 import pytest
 
 from repro.configs import z15_config
-from repro.engine import (
-    BACKENDS,
-    CycleEngine,
-    FunctionalEngine,
-    SweepCell,
-    create_predictor,
-    run_cells,
-)
+from repro.core.predictor import LookaheadBranchPredictor
+from repro.engine import CycleEngine, FunctionalEngine, SweepCell, run_cells
 from repro.workloads import get_workload
 
 BRANCHES = 3000
@@ -25,52 +19,47 @@ SWEEP_CELLS = 8
 SWEEP_BRANCHES = 1500
 
 
-def _simulate(program_name: str, backend: str = "object",
-              engine_mode: str = "reference") -> float:
-    engine = FunctionalEngine(create_predictor(z15_config(), backend),
+def _simulate(program_name: str, engine_mode: str = "reference") -> float:
+    engine = FunctionalEngine(LookaheadBranchPredictor(z15_config()),
                               engine_mode=engine_mode)
     stats = engine.run_program(get_workload(program_name),
                                max_branches=BRANCHES, warmup_branches=0)
     return stats.mpki
 
 
-def _simulate_cycles(program_name: str, backend: str = "object") -> int:
-    engine = CycleEngine(create_predictor(z15_config(), backend))
+def _simulate_cycles(program_name: str) -> int:
+    engine = CycleEngine(LookaheadBranchPredictor(z15_config()))
     stats = engine.run_program(get_workload(program_name),
                                max_branches=CYCLE_BRANCHES)
     return stats.cycles
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("workload", ["compute-kernel", "transactions"])
-def test_functional_throughput(benchmark, workload, backend):
+def test_functional_throughput(benchmark, workload):
     result = benchmark.pedantic(
-        _simulate, args=(workload, backend), rounds=3, iterations=1,
+        _simulate, args=(workload,), rounds=3, iterations=1,
         warmup_rounds=1,
     )
     assert result >= 0.0
     # Floor: the hot-path optimisation pass roughly doubled the engine's
     # speed, so the regression floor doubles too — 6K branches/second,
     # which still leaves ~1.5-2x headroom for machine noise below the
-    # slowest numbers observed on a loaded box.  The array backend gets
-    # the same floor: it must never fall behind the object model enough
-    # to matter, or it has no reason to exist.
+    # slowest numbers observed on a loaded box.
     seconds = benchmark.stats.stats.mean
     branches_per_second = BRANCHES / seconds
-    print(f"\n{workload} [{backend}]: "
+    print(f"\n{workload}: "
           f"{branches_per_second:,.0f} branches/second")
     assert branches_per_second > 6000
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("workload", ["compute-kernel", "transactions"])
-def test_fast_mode_throughput(benchmark, workload, backend):
+def test_fast_mode_throughput(benchmark, workload):
     # Warm the process-wide kernel cache outside the timed rounds, so
     # the bench measures steady state (the one-off compile is ~the cost
     # of a few thousand simulated branches).
-    _simulate(workload, backend, "fast")
+    _simulate(workload, "fast")
     result = benchmark.pedantic(
-        _simulate, args=(workload, backend, "fast"), rounds=3,
+        _simulate, args=(workload, "fast"), rounds=3,
         iterations=1, warmup_rounds=1,
     )
     assert result >= 0.0
@@ -79,16 +68,15 @@ def test_fast_mode_throughput(benchmark, workload, backend):
     # (observed ~27-31K branches/s on the baseline box).
     seconds = benchmark.stats.stats.mean
     branches_per_second = BRANCHES / seconds
-    print(f"\n{workload} [{backend}/fast]: "
+    print(f"\n{workload} [fast]: "
           f"{branches_per_second:,.0f} branches/second")
     assert branches_per_second > 9000
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("workload", ["compute-kernel", "transactions"])
-def test_cycle_throughput(benchmark, workload, backend):
+def test_cycle_throughput(benchmark, workload):
     result = benchmark.pedantic(
-        _simulate_cycles, args=(workload, backend), rounds=3, iterations=1,
+        _simulate_cycles, args=(workload,), rounds=3, iterations=1,
         warmup_rounds=1,
     )
     assert result > 0
@@ -97,7 +85,7 @@ def test_cycle_throughput(benchmark, workload, backend):
     # catches order-of-magnitude regressions.
     seconds = benchmark.stats.stats.mean
     branches_per_second = CYCLE_BRANCHES / seconds
-    print(f"\n{workload} (cycle) [{backend}]: "
+    print(f"\n{workload} (cycle): "
           f"{branches_per_second:,.0f} branches/second")
     assert branches_per_second > 1000
 

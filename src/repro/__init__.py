@@ -29,14 +29,7 @@ from repro.configs import (
     zec12_config,
 )
 from repro.core import LookaheadBranchPredictor, PredictionOutcome
-from repro.engine import (
-    BACKENDS,
-    ArrayLookaheadBranchPredictor,
-    CycleEngine,
-    CycleStats,
-    FunctionalEngine,
-    create_predictor,
-)
+from repro.engine import CycleEngine, CycleStats, FunctionalEngine
 from repro.stats import MispredictClass, RunStats
 
 __version__ = "1.0.0"
@@ -49,9 +42,6 @@ __all__ = [
     "z15_config",
     "zec12_config",
     "LookaheadBranchPredictor",
-    "ArrayLookaheadBranchPredictor",
-    "BACKENDS",
-    "create_predictor",
     "PredictionOutcome",
     "CycleEngine",
     "CycleStats",

@@ -18,7 +18,7 @@ Commands:
   ``--stream-out`` checkpoints results to JSONL as they complete;
   ``--resume`` restarts a killed sweep from such a stream.
 * ``fleet`` — run a full design-space fleet grid (configs × workloads ×
-  seeds × fault plans × backends, ~1000 cells) sequentially and over
+  seeds × fault plans, 256 cells at defaults) sequentially and over
   the warm pool, and emit the merged ``BENCH_fleet.json`` artifact
   (throughput both ways, measured speedup, equivalence verdict).
 * ``faults`` — run a deterministic fault-injection campaign and prove
@@ -30,7 +30,7 @@ Commands:
   reconciled against the run's stats.
 * ``export`` — render a telemetry artifact (trace ``--json`` payload,
   sweep telemetry dump or checkpoint stream) as OpenMetrics text or
-  canonical JSON, with per-(backend, engine-mode, workload) rollups
+  canonical JSON, with per-(engine-mode, workload) rollups
   for multi-cell inputs.
 * ``report`` — the observatory: classify BENCH artifacts, sweep
   streams, manifests, span files and bench history, and render one
@@ -83,14 +83,12 @@ from repro.common.signals import GracefulShutdown
 from repro.configs import GENERATIONS, z15_config
 from repro.core import LookaheadBranchPredictor, load_state, save_state
 from repro.engine import (
-    BACKENDS,
     ENGINE_MODES,
     CycleEngine,
     FunctionalEngine,
     PayloadRegistry,
     SweepStreamWriter,
     build_fleet_grid,
-    create_predictor,
     load_stream,
     make_grid,
     restore_completed,
@@ -100,6 +98,7 @@ from repro.engine import (
     stream_cells,
 )
 from repro.obs import TelemetrySession
+from repro.obs.observatory import single_run_rows
 from repro.stats import MispredictProfile, load_trace
 from repro.verification import StimulusConstraints, VerificationEnvironment
 from repro.verification.differential import (
@@ -117,16 +116,11 @@ BASELINES = {
 }
 
 
-def _predictor_for(name: str, backend: str = "object"):
+def _predictor_for(name: str):
     if name in GENERATIONS:
         factory, _ = GENERATIONS[name]
-        return create_predictor(factory(), backend)
+        return LookaheadBranchPredictor(factory())
     if name in BASELINES:
-        if backend != "object":
-            raise SystemExit(
-                f"--backend {backend} requires a generation preset; "
-                f"{name!r} is a baseline predictor"
-            )
         return BASELINES[name]()
     known = ", ".join(list(GENERATIONS) + list(BASELINES))
     raise SystemExit(f"unknown predictor {name!r}; known: {known}")
@@ -223,7 +217,7 @@ def _make_session(args, predictor) -> TelemetrySession:
 
 
 def cmd_run(args: argparse.Namespace) -> None:
-    predictor = _predictor_for(args.predictor, args.backend)
+    predictor = _predictor_for(args.predictor)
     if args.load_state:
         if not isinstance(predictor, LookaheadBranchPredictor):
             raise SystemExit("--load-state requires a generation preset")
@@ -269,7 +263,6 @@ def cmd_run(args: argparse.Namespace) -> None:
             "run",
             config=getattr(predictor, "config", None),
             config_name=args.predictor,
-            backend=args.backend,
             engine_mode=args.engine_mode,
             workload=args.workload,
             seed=args.seed,
@@ -321,7 +314,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
 
 
 def cmd_cycles(args: argparse.Namespace) -> None:
-    predictor = _predictor_for(args.predictor, args.backend)
+    predictor = _predictor_for(args.predictor)
     if not isinstance(predictor, LookaheadBranchPredictor):
         raise SystemExit("the cycle engine requires a generation preset")
     engine = CycleEngine(predictor, smt2=args.smt2,
@@ -353,7 +346,6 @@ def cmd_verify_diff(args: argparse.Namespace) -> None:
         seed=args.seed,
         branches=args.branches,
         workloads=args.workloads or DEFAULT_WORKLOAD_FAMILIES,
-        backends=tuple(args.backends),
         engine_modes=tuple(args.engine_modes),
     )
     print(result.summary())
@@ -362,7 +354,6 @@ def cmd_verify_diff(args: argparse.Namespace) -> None:
 
 
 def _single_run_bps(workload: str, branches: int = 3000, repeats: int = 3,
-                    backend: str = "object",
                     engine_mode: str = "reference") -> float:
     """Best-of-N single-engine throughput, benchmark-style: predictor
     construction and workload build sit inside the timed region, exactly
@@ -371,12 +362,12 @@ def _single_run_bps(workload: str, branches: int = 3000, repeats: int = 3,
     only the first fast run pays it; a warm call outside the timed loop
     makes repeats measure steady state."""
     if engine_mode == "fast":
-        FunctionalEngine(create_predictor(z15_config(), backend),
+        FunctionalEngine(LookaheadBranchPredictor(z15_config()),
                          engine_mode="fast")
     best = 0.0
     for _ in range(repeats):
         start = time.perf_counter()
-        engine = FunctionalEngine(create_predictor(z15_config(), backend),
+        engine = FunctionalEngine(LookaheadBranchPredictor(z15_config()),
                                   engine_mode=engine_mode)
         program = get_workload(workload)
         engine.run_program(program, max_branches=branches, warmup_branches=0)
@@ -406,11 +397,9 @@ def _throughput_payload(cells, workers, seq_results, seq_wall, par_results,
             "parallel_worker_bps": branches / par_seconds if par_seconds else 0.0,
         }
     return {
-        "schema": "repro-throughput/v3",
-        #: The predictor backend / engine mode the sweep grid ran on;
-        #: single_run numbers below always cover the full backends x
-        #: engine-modes matrix.
-        "backend": args.backend,
+        "schema": "repro-throughput/v4",
+        #: The engine mode the sweep grid ran on; single_run numbers
+        #: below always cover every engine mode.
         "engine_mode": args.engine_mode,
         #: Interprets the speedup: on a single-CPU box the pool can only
         #: add overhead, so speedup <= 1 is expected there.
@@ -437,66 +426,47 @@ def _throughput_payload(cells, workers, seq_results, seq_wall, par_results,
         "workloads": per_workload,
         "single_run": {
             name: {
-                backend: {
-                    mode: {"branches_per_second":
-                           _single_run_bps(name, backend=backend,
-                                           engine_mode=mode)}
-                    for mode in ENGINE_MODES
-                }
-                for backend in sorted(BACKENDS)
+                mode: {"branches_per_second":
+                       _single_run_bps(name, engine_mode=mode)}
+                for mode in ENGINE_MODES
             }
             for name in ("compute-kernel", "transactions")
         },
     }
 
 
-def _single_run_floors(baseline):
-    """Flatten a baseline's single_run section into (workload, backend,
-    engine mode, baseline bps) rows.  v1 files carry one flat number per
-    workload (implicitly the object backend, reference mode); v2 files
-    nest per backend; v3 files nest per backend per engine mode."""
-    rows = []
-    for name, entry in baseline.get("single_run", {}).items():
-        if "branches_per_second" in entry:  # v1
-            rows.append((name, "object", "reference",
-                         entry["branches_per_second"]))
-            continue
-        for backend, numbers in entry.items():
-            if "branches_per_second" in numbers:  # v2
-                rows.append((name, backend, "reference",
-                             numbers["branches_per_second"]))
-            else:  # v3: {engine_mode: {branches_per_second: ...}}
-                for mode, inner in numbers.items():
-                    rows.append((name, backend, mode,
-                                 inner["branches_per_second"]))
-    return rows
-
-
 def _check_baseline(payload, baseline_path, max_regression):
     """Compare a throughput payload against a committed baseline; returns
     the list of regression messages (empty when healthy).  The gate is
-    per (workload, backend, engine mode): a fast-mode or array-backend
-    slowdown fails even when every other cell is healthy."""
+    per (workload, engine mode): a fast-mode slowdown fails even when
+    every other row is healthy, and a baseline none of whose rows
+    matches the payload fails instead of passing vacuously."""
     with open(baseline_path) as stream:
         baseline = json.load(stream)
     floor_ratio = 1.0 - max_regression
     failures = []
     current_rows = {
-        (name, backend, mode): bps
-        for name, backend, mode, bps in _single_run_floors(payload)
+        (name, mode): bps for name, mode, bps in single_run_rows(payload)
     }
-    for name, backend, mode, base_bps in _single_run_floors(baseline):
-        current = current_rows.get((name, backend, mode))
+    matched = 0
+    for name, mode, base_bps in single_run_rows(baseline):
+        current = current_rows.get((name, mode))
         if current is None:
             continue
+        matched += 1
         floor = base_bps * floor_ratio
         if current < floor:
             failures.append(
-                f"single-run {name} [{backend}/{mode}]: {current:,.0f} "
+                f"single-run {name} [{mode}]: {current:,.0f} "
                 f"branches/s < floor {floor:,.0f} "
                 f"(baseline {base_bps:,.0f}, "
                 f"max regression {max_regression:.0%})"
             )
+    if not matched:
+        failures.append(
+            f"baseline {baseline_path}: no single-run row matches the "
+            f"current payload, so nothing was gated"
+        )
     base_seq = baseline.get("sequential", {}).get("branches_per_second")
     if base_seq:
         floor = base_seq * floor_ratio
@@ -523,7 +493,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             raise SystemExit(f"unknown workload {name!r}; known: {known}")
     cells = make_grid(configs, args.workloads, args.seeds,
                       branches=args.branches, warmup=args.warmup,
-                      backend=args.backend, engine_mode=args.engine_mode)
+                      engine_mode=args.engine_mode)
     if args.telemetry or args.metrics_out:
         args.telemetry = True
         for cell in cells:
@@ -533,7 +503,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
     manifest = build_manifest(
         "sweep",
-        backend=args.backend,
         engine_mode=args.engine_mode,
         branches=args.branches,
         warmup=args.warmup,
@@ -676,8 +645,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         f"speedup {payload['speedup']:.2f}x, "
         f"equivalent={payload['equivalent']})"
     )
-    for name, backend, mode, bps in _single_run_floors(payload):
-        print(f"single-run {name} [{backend}/{mode}]: {bps:,.0f} branches/s")
+    for name, mode, bps in single_run_rows(payload):
+        print(f"single-run {name} [{mode}]: {bps:,.0f} branches/s")
     if not payload["equivalent"]:
         print("FAIL: parallel results diverge from sequential")
         sys.exit(1)
@@ -719,7 +688,6 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         configs=args.configs,
         workloads=args.workloads,
         seeds=seeds,
-        backends=args.backends,
         fault_rates=fault_rates,
         branches=args.branches,
         warmup=args.warmup,
@@ -729,7 +697,6 @@ def cmd_fleet(args: argparse.Namespace) -> None:
         "configs": list(args.configs),
         "workloads": list(args.workloads),
         "seeds": seeds,
-        "backends": list(args.backends),
         "engine_modes": list(args.engine_modes),
         "fault_plans": ["none"] + (
             [f"rate={args.fault_rate:g}"] if args.fault_rate > 0 else []
@@ -740,7 +707,6 @@ def cmd_fleet(args: argparse.Namespace) -> None:
     print(f"fleet sweep: {len(cells)} cells "
           f"({len(args.configs)} configs x {len(args.workloads)} workloads "
           f"x {len(seeds)} seeds x {len(fault_rates)} fault plans "
-          f"x {len(args.backends)} backends "
           f"x {len(args.engine_modes)} engine modes), "
           f"{args.branches}+{args.warmup} branches/cell")
     if args.telemetry or args.metrics_out:
@@ -906,7 +872,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> None:
-    predictor = _predictor_for(args.predictor, args.backend)
+    predictor = _predictor_for(args.predictor)
     session = _make_session(args, predictor)
     engine = FunctionalEngine(predictor, telemetry=session,
                               engine_mode=args.engine_mode)
@@ -959,8 +925,8 @@ def _load_export_source(path: str, strict: bool = False):
     (label, workload)), an OpenMetrics text file written by
     ``--metrics-out`` (re-parsed, so ``export x.om --format json``
     converts back to canonical JSON), or a sweep/fleet checkpoint
-    stream whose cells ran with ``--telemetry`` (grouped per (backend,
-    engine-mode, workload)).  Returns whatever :func:`repro.obs.
+    stream whose cells ran with ``--telemetry`` (grouped per
+    (engine-mode, workload)).  Returns whatever :func:`repro.obs.
     export.to_openmetrics` accepts.
     """
     from repro.obs.export import parse_openmetrics
@@ -1009,8 +975,7 @@ def _load_export_source(path: str, strict: bool = False):
         if not payload:
             continue
         cell = row["cell"]
-        labels = (("backend", str(cell.get("backend"))),
-                  ("engine_mode", str(cell.get("engine_mode"))),
+        labels = (("engine_mode", str(cell.get("engine_mode"))),
                   ("workload", str(cell.get("workload"))))
         groups.setdefault(labels, Telemetry()).merge(payload)
     if not groups:
@@ -1114,7 +1079,6 @@ def cmd_loadgen(args: argparse.Namespace) -> None:
             branches=args.branches,
             batch_size=args.batch_size,
             config=args.config,
-            backend=args.backend,
             deadline_ms=args.deadline_ms,
             burst=args.burst,
             pace=args.pace,
@@ -1140,7 +1104,6 @@ def cmd_loadgen(args: argparse.Namespace) -> None:
         _write_json(args.json, build_manifest(
             "loadgen",
             config_name=args.config,
-            backend=args.backend,
             branches=args.branches,
             seed=args.seed,
             wall_seconds=wall,
@@ -1207,10 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run one predictor/workload")
     run_parser.add_argument("workload", nargs="?", default="transactions")
     run_parser.add_argument("--predictor", default="z15")
-    run_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                            default="object",
-                            help="predictor backend (generation presets "
-                                 "only; default object)")
     run_parser.add_argument("--branches", type=int, default=30_000)
     run_parser.add_argument("--warmup", type=int, default=10_000)
     run_parser.add_argument("--seed", type=int, default=1)
@@ -1268,8 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
     cycles_parser = sub.add_parser("cycles", help="cycle-level timing run")
     cycles_parser.add_argument("workload", nargs="?", default="transactions")
     cycles_parser.add_argument("--predictor", default="z15")
-    cycles_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                               default="object")
     cycles_parser.add_argument("--branches", type=int, default=15_000)
     cycles_parser.add_argument("--seed", type=int, default=1)
     cycles_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
@@ -1299,16 +1256,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"workload families to cross-check "
              f"(default: {' '.join(DEFAULT_WORKLOAD_FAMILIES)})")
     diff_parser.add_argument(
-        "--backends", nargs="*", choices=sorted(BACKENDS),
-        default=["object", "array"], metavar="BACKEND",
-        help="predictor backends to verify; the first is the reference "
-             "the others are differentially compared against "
-             "(default: object array)")
-    diff_parser.add_argument(
         "--engine-modes", nargs="*", choices=ENGINE_MODES,
         default=["reference", "fast"], metavar="MODE",
-        help="engine modes to verify as a matrix against the backends; "
-             "the first is the reference mode (default: reference fast)")
+        help="engine modes to verify; the first is the reference the "
+             "others are differentially compared against "
+             "(default: reference fast)")
     diff_parser.set_defaults(func=cmd_verify_diff)
 
     sweep_parser = sub.add_parser(
@@ -1321,10 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workloads", nargs="*", metavar="NAME",
                               default=["compute-kernel", "transactions"])
     sweep_parser.add_argument("--seeds", nargs="*", type=int, default=[1])
-    sweep_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                              default="object",
-                              help="predictor backend every cell runs on "
-                                   "(default object)")
     sweep_parser.add_argument("--engine-mode", choices=ENGINE_MODES,
                               default="reference",
                               help="drive mode every cell runs on "
@@ -1383,8 +1331,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "--resume stream instead of silently "
                                    "dropping it")
     sweep_parser.add_argument("--metrics-out", metavar="PATH",
-                              help="write per-(backend, engine-mode, "
-                                   "workload) telemetry rollups as "
+                              help="write per-(engine-mode, workload) "
+                                   "telemetry rollups as "
                                    "OpenMetrics text (implies --telemetry)")
     sweep_parser.add_argument("--spans-out", metavar="PATH",
                               help="write pool phase spans "
@@ -1399,8 +1347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet_parser = sub.add_parser(
         "fleet",
-        help="fleet-scale (config x workload x seed x fault-plan x "
-             "backend) sweep; emits the merged BENCH_fleet.json artifact "
+        help="fleet-scale (config x workload x seed x fault-plan) "
+             "sweep; emits the merged BENCH_fleet.json artifact "
              "with a measured sequential-vs-parallel speedup")
     fleet_parser.add_argument("--configs", nargs="*", metavar="GEN",
                               default=list(GENERATIONS),
@@ -1410,11 +1358,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "dispatch", "patterned"])
     fleet_parser.add_argument("--seed-count", type=int, default=8,
                               help="seeds 1..N per (config, workload) "
-                                   "(default 8 -> ~1000 cells on the "
+                                   "(default 8 -> 256 cells on the "
                                    "default axes)")
-    fleet_parser.add_argument("--backends", nargs="*",
-                              choices=sorted(BACKENDS),
-                              default=["object", "array"], metavar="BACKEND")
     fleet_parser.add_argument("--engine-modes", nargs="*",
                               choices=ENGINE_MODES, default=["reference"],
                               metavar="MODE",
@@ -1455,8 +1400,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="attach a telemetry session to every "
                                    "cell (results unchanged)")
     fleet_parser.add_argument("--metrics-out", metavar="PATH",
-                              help="write per-(backend, engine-mode, "
-                                   "workload) telemetry rollups as "
+                              help="write per-(engine-mode, workload) "
+                                   "telemetry rollups as "
                                    "OpenMetrics text (implies --telemetry)")
     fleet_parser.add_argument("--spans-out", metavar="PATH",
                               help="write the parallel pass's pool phase "
@@ -1508,8 +1453,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="telemetry-instrumented run with a JSONL branch trace")
     trace_parser.add_argument("--workload", default="transactions")
     trace_parser.add_argument("--predictor", default="z15")
-    trace_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                              default="object")
     trace_parser.add_argument("--branches", type=int, default=10_000)
     trace_parser.add_argument("--warmup", type=int, default=0,
                               help="uncounted warmup branches (default 0 so "
@@ -1638,8 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="NAME",
                                 help="cycled across tenants")
     loadgen_parser.add_argument("--config", default="z15")
-    loadgen_parser.add_argument("--backend", choices=sorted(BACKENDS),
-                                default="object")
     loadgen_parser.add_argument("--seed", type=int, default=1)
     loadgen_parser.add_argument("--branches", type=int, default=240,
                                 help="branches per tenant (default 240)")

@@ -133,21 +133,17 @@ class _InstallCommand:
 class LookaheadBranchPredictor:
     """The full z15-style branch prediction logic (BPL)."""
 
-    #: Which structure implementation backs this predictor; the array
-    #: backend (:mod:`repro.engine.array`) overrides this and the
-    #: ``_make_*`` factories below.
-    backend = "object"
-
     def __init__(self, config: PredictorConfig):
         config.validate()
         self.config = config
-        self.btb1 = self._make_btb1(config.btb1)
+        self.btb1 = Btb1(config.btb1)
+        # The BTB2 holds a reference to the BTB1 it stages lines into.
         self.btb2: Optional[Btb2System] = (
-            self._make_btb2(config.btb2) if config.btb2 is not None else None
+            Btb2System(config.btb2, self.btb1) if config.btb2 is not None else None
         )
-        self.tage = self._make_tage(config.pht, config.gpv_bits_per_branch)
+        self.tage = TagePht(config.pht, config.gpv_bits_per_branch)
         gpv_width = config.gpv_depth * config.gpv_bits_per_branch
-        self.perceptron = self._make_perceptron(config.perceptron, gpv_width)
+        self.perceptron = Perceptron(config.perceptron, gpv_width)
         self.sbht = SpeculativeOverlay(config.speculative, "sbht")
         self.spht = SpeculativeOverlay(config.speculative, "spht")
         self.ctb = ChangingTargetBuffer(config.ctb, config.gpv_bits_per_branch)
@@ -172,26 +168,6 @@ class LookaheadBranchPredictor:
         self.context_switches = 0
         self.write_queue_drops = 0
         self.skipped_indirect_installs = 0
-
-    # ------------------------------------------------------------------
-    # Structure factories (the backend seam)
-    # ------------------------------------------------------------------
-    # Subclasses substitute array-backed structure twins here; the
-    # prediction logic above never needs to know which backend it runs.
-
-    def _make_btb1(self, config) -> Btb1:
-        return Btb1(config)
-
-    def _make_btb2(self, config) -> Btb2System:
-        # Bound after _make_btb1: the BTB2 holds a reference to the BTB1
-        # it stages lines into.
-        return Btb2System(config, self.btb1)
-
-    def _make_tage(self, config, gpv_bits_per_branch: int) -> TagePht:
-        return TagePht(config, gpv_bits_per_branch)
-
-    def _make_perceptron(self, config, gpv_width: int) -> Perceptron:
-        return Perceptron(config, gpv_width)
 
     # ------------------------------------------------------------------
     # Per-thread state access

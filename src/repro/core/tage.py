@@ -298,20 +298,14 @@ class _TageTable:
 class TagePht:
     """The complete PHT subsystem: one or two tagged tables."""
 
-    #: Physical-table implementation; the array backend substitutes its
-    #: mirror-accelerated twin (:class:`repro.structures.arrays.
-    #: _ArrayTageTable`) through this seam.
-    table_class = _TageTable
-
     def __init__(self, config: PhtConfig, gpv_bits_per_branch: int = 2):
         config.validate()
         self.config = config
-        table_class = self.table_class
-        self.short_table = table_class(
+        self.short_table = _TageTable(
             SHORT, config, config.short_history, gpv_bits_per_branch
         )
         self.long_table: Optional[_TageTable] = (
-            table_class(LONG, config, config.long_history, gpv_bits_per_branch)
+            _TageTable(LONG, config, config.long_history, gpv_bits_per_branch)
             if config.tage
             else None
         )

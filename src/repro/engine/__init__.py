@@ -1,15 +1,9 @@
-"""Simulation engines: functional (accuracy), cycle-level (timing), the
-array-backed prediction backend, and the deterministic warm-pool sweep
-runner (with JSONL checkpoint streams and fleet-scale grids).  The
+"""Simulation engines: functional (accuracy), cycle-level (timing), and
+the deterministic warm-pool sweep runner (with JSONL checkpoint streams
+and fleet-scale grids).  The
 shared per-branch consume sequence they all drive lives in
 :mod:`repro.engine.kernel`."""
 
-from repro.engine.array import (
-    BACKENDS,
-    ArrayLookaheadBranchPredictor,
-    create_predictor,
-    predictor_class,
-)
 from repro.engine.cycle import CycleEngine, CycleStats
 from repro.engine.fleet import build_fleet_grid, run_fleet
 from repro.engine.functional import FunctionalEngine
@@ -43,10 +37,6 @@ from repro.engine.stream import (
 )
 
 __all__ = [
-    "ArrayLookaheadBranchPredictor",
-    "BACKENDS",
-    "create_predictor",
-    "predictor_class",
     "CycleEngine",
     "CycleStats",
     "FunctionalEngine",

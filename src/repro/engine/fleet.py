@@ -1,7 +1,8 @@
-"""Fleet sweeps: thousand-cell design-space grids over the warm pool.
+"""Fleet sweeps: design-space grids of hundreds of cells over the warm
+pool.
 
 The z15 design space (generation configs × workloads × seeds ×
-fault plans × predictor backends) is evaluated as one flat grid of
+fault plans × engine modes) is evaluated as one flat grid of
 independent cells.  This module builds that grid — sharing each
 workload Program across every cell that uses it, so the serialize-once
 registry ships it to each worker exactly once — and runs it twice
@@ -51,20 +52,19 @@ def build_fleet_grid(
     configs: Optional[Sequence[str]] = None,
     workloads: Sequence[str] = DEFAULT_FLEET_WORKLOADS,
     seeds: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
-    backends: Sequence[str] = ("object", "array"),
     fault_rates: Sequence[float] = (0.0, 0.01),
     branches: int = 300,
     warmup: int = 100,
     fault_seed: int = 101,
     engine_modes: Sequence[str] = ("reference",),
 ) -> List[SweepCell]:
-    """Cross (config × workload × seed × fault plan × backend ×
-    engine mode) into one flat cell list, config-major order.
+    """Cross (config × workload × seed × fault plan × engine mode) into
+    one flat cell list, config-major order.
 
     Each (workload, seed) Program is built **once** and shared by every
     cell that runs it — the serialize-once registry then transfers it
-    to each worker exactly once regardless of how many of the ~1000
-    cells reference it.  A fault rate of 0.0 means a genuinely
+    to each worker exactly once regardless of how many of the
+    hundreds of cells reference it.  A fault rate of 0.0 means a genuinely
     fault-free cell (no injector attached); non-zero rates share one
     deterministic :class:`~repro.resilience.FaultPlan` per rate.
     """
@@ -87,25 +87,23 @@ def build_fleet_grid(
     }
     cells = []
     for name, config in pairs:
-        for backend in backends:
-            for engine_mode in engine_modes:
-                mode_suffix = "" if engine_mode == "reference" else "/fast"
-                for rate in fault_rates:
-                    suffix = f"/f{rate:g}" if rate > 0 else ""
-                    label = f"{name}/{backend}{mode_suffix}{suffix}"
-                    for workload in workloads:
-                        for seed in seeds:
-                            cells.append(SweepCell(
-                                label=label,
-                                config=config,
-                                workload=programs[(workload, seed)],
-                                seed=seed,
-                                branches=branches,
-                                warmup=warmup,
-                                backend=backend,
-                                engine_mode=engine_mode,
-                                fault_plan=plans[rate],
-                            ))
+        for engine_mode in engine_modes:
+            mode_suffix = "" if engine_mode == "reference" else "/fast"
+            for rate in fault_rates:
+                suffix = f"/f{rate:g}" if rate > 0 else ""
+                label = f"{name}{mode_suffix}{suffix}"
+                for workload in workloads:
+                    for seed in seeds:
+                        cells.append(SweepCell(
+                            label=label,
+                            config=config,
+                            workload=programs[(workload, seed)],
+                            seed=seed,
+                            branches=branches,
+                            warmup=warmup,
+                            engine_mode=engine_mode,
+                            fault_plan=plans[rate],
+                        ))
     return cells
 
 
@@ -260,10 +258,6 @@ def run_fleet(
         "equivalent": equivalent,
         "failed_cells": failed,
         "rollups": {
-            "by_backend": _rollup(
-                seq_results,
-                lambda r: r.label.split("/")[1] if "/" in r.label else "object",
-            ),
             "by_workload": _rollup(seq_results, lambda r: r.workload),
             "by_engine_mode": _rollup(
                 seq_results,

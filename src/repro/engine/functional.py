@@ -1,14 +1,14 @@
 """The functional simulation engine.
 
 Drives any predictor implementing the *branch predictor protocol* (the
-:class:`~repro.core.predictor.LookaheadBranchPredictor`, the array
-backend in :mod:`repro.engine.array`, or one of the baselines) over a
-workload, collecting :class:`~repro.stats.RunStats`.  This engine
-measures *accuracy* (coverage, direction/target correctness, MPKI); the
-cycle engine in :mod:`repro.engine.cycle` measures time.
+:class:`~repro.core.predictor.LookaheadBranchPredictor` or one of the
+baselines) over a workload, collecting :class:`~repro.stats.RunStats`.
+This engine measures *accuracy* (coverage, direction/target
+correctness, MPKI); the cycle engine in :mod:`repro.engine.cycle`
+measures time.
 
 The per-branch consume sequence lives in :mod:`repro.engine.kernel`,
-shared with the cycle engine, so every backend runs one semantics
+shared with the cycle engine, so both engines run one semantics
 definition.
 """
 

@@ -1,15 +1,15 @@
 """The shared prediction kernel every engine drives.
 
-The functional engine, the cycle engine and the array backend all drive
-the same per-branch protocol: ``predict_and_resolve`` on a predictor,
+The functional engine and the cycle engine both drive the same
+per-branch protocol: ``predict_and_resolve`` on a predictor,
 an optional observer chain (explicit observer, telemetry session, fault
 injector), then stats recording.  This module is the single home of
 that semantics definition — the engines differ only in *what else* they
-do around each branch (nothing, timing, or nothing-but-faster-arrays),
-never in how a branch flows through the predictor.
+do around each branch (nothing or timing), never in how a branch flows
+through the predictor.
 
 Keeping the consume sequence here means a divergence between engines
-can only come from the predictor backend itself, which is exactly what
+can only come from the predictor itself, which is exactly what
 the differential harness (:mod:`repro.verification.differential`) is
 built to localise.
 """

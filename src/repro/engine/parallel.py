@@ -88,6 +88,7 @@ from typing import (
 
 from repro.common.errors import SimulationError
 from repro.configs.predictor import PredictorConfig
+from repro.core.predictor import LookaheadBranchPredictor
 from repro.engine.functional import FunctionalEngine
 from repro.workloads.program import Program
 from repro.workloads.suite import get_workload
@@ -115,10 +116,6 @@ class SweepCell:
     #: "functional" (RunStats) or "cycle" (CycleStats; warmup ignored —
     #: the cycle engine has no warmup phase).
     engine: str = "functional"
-    #: Predictor backend ("object" or "array") — cells on either backend
-    #: produce identical stats and fingerprints, so mixing backends
-    #: across a sweep is legal and the equivalence check still holds.
-    backend: str = "object"
     #: Engine mode ("reference" or "fast") — fast cells drive the
     #: config-specialized compiled kernels (:mod:`repro.engine.
     #: specialize`); stats and fingerprints are byte-identical across
@@ -319,7 +316,6 @@ class _CellSpec:
     branches: int
     warmup: int
     engine: str
-    backend: str
     engine_mode: str
     telemetry: bool
     telemetry_interval: int
@@ -340,7 +336,6 @@ def _spec_for(cell: SweepCell, registry: PayloadRegistry) -> _CellSpec:
         branches=cell.branches,
         warmup=cell.warmup,
         engine=cell.engine,
-        backend=cell.backend,
         engine_mode=cell.engine_mode,
         telemetry=cell.telemetry,
         telemetry_interval=cell.telemetry_interval,
@@ -352,13 +347,15 @@ def cell_fingerprint(cell: SweepCell,
                      registry: Optional[PayloadRegistry] = None) -> str:
     """A stable content digest of a cell's identity (payloads included,
     test-only prelude excluded) — the key a checkpoint stream uses to
-    prove a resumed sweep is the same sweep."""
+    prove a resumed sweep is the same sweep.  The ``"object"`` slot is
+    the predictor backend cells once carried; it stays in the identity
+    so streams written before that axis was retired still resume."""
     spec = _spec_for(cell, registry if registry is not None
                      else PayloadRegistry())
     identity = (
         spec.label, spec.workload_name, spec.workload_ref, spec.config_ref,
         spec.fault_ref, spec.seed, spec.branches, spec.warmup, spec.engine,
-        spec.backend, spec.telemetry, spec.telemetry_interval,
+        "object", spec.telemetry, spec.telemetry_interval,
         spec.engine_mode,
     )
     return hashlib.sha256(repr(identity).encode()).hexdigest()
@@ -384,9 +381,7 @@ def _run_spec(spec: _CellSpec) -> SweepResult:
     else:
         program = get_workload(spec.workload_name, spec.seed)
     config = _materialize(spec.config_ref)
-    from repro.engine.array import create_predictor
-
-    predictor = create_predictor(config, spec.backend)
+    predictor = LookaheadBranchPredictor(config)
     session = None
     if spec.telemetry:
         from repro.obs.session import TelemetrySession
@@ -951,7 +946,6 @@ def make_grid(
     seeds: Sequence[int] = (1,),
     branches: int = 8000,
     warmup: int = 4000,
-    backend: str = "object",
     engine_mode: str = "reference",
 ) -> List[SweepCell]:
     """Cross (config × workload × seed) into cells, config-major order."""
@@ -963,7 +957,6 @@ def make_grid(
             seed=seed,
             branches=branches,
             warmup=warmup,
-            backend=backend,
             engine_mode=engine_mode,
         )
         for label, config in configs

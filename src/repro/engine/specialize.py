@@ -1,10 +1,9 @@
 """Config-specialized compiled prediction kernels (the ``fast`` engine mode).
 
-INTERNALS §12's Amdahl accounting showed that after the array backend
-made table probes cheap, ~80% of a simulated branch was still the
-prediction *pipeline*: ``predict_and_resolve`` → ``_predict_dynamic`` →
-figure-8/9 selection → resolution → completion updates, ~170 Python
-calls per branch, identical across backends.  This module collapses
+Profiling showed that ~80% of a simulated branch was the prediction
+*pipeline* rather than the table probes: ``predict_and_resolve`` →
+``_predict_dynamic`` → figure-8/9 selection → resolution → completion
+updates, ~170 Python calls per branch.  This module collapses
 that pyramid the way :func:`collections.namedtuple` builds classes —
 textual code generation plus :func:`compile` — producing, per *config
 shape*, a flat kernel in which:
@@ -25,7 +24,7 @@ shape*, a flat kernel in which:
 
 The reference object path in :mod:`repro.core.predictor` stays the
 semantics definition; the generated code is a transcription of it, and
-the cross-backend/cross-mode differential battery
+the cross-mode differential battery
 (:mod:`repro.verification.differential`) proves byte-identical branch
 streams, stats and state round-trips.  See ``docs/INTERNALS.md`` §14
 for the specialization contract — what may be specialized away and
@@ -173,9 +172,7 @@ def kernels_for_config(config: PredictorConfig) -> SpecializedKernels:
 
 
 def kernels_for(predictor: LookaheadBranchPredictor) -> SpecializedKernels:
-    """The compiled kernels for a live predictor (any backend: the
-    generated code binds instance attributes, so the array twins run
-    through the very same kernel)."""
+    """The compiled kernels for a live predictor."""
     return kernels_for_config(predictor.config)
 
 

@@ -135,7 +135,6 @@ def _cell_identity(index: int, cell: SweepCell,
         "branches": cell.branches,
         "warmup": cell.warmup,
         "engine": cell.engine,
-        "backend": cell.backend,
         "engine_mode": cell.engine_mode,
     }
 

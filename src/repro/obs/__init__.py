@@ -16,7 +16,7 @@ On top of the per-run layer sit the fleet-level pieces:
   runner and the engines (wall/CPU, latency histograms, incident
   events);
 * :mod:`repro.obs.export` — OpenMetrics / canonical-JSON rendering and
-  cross-cell per-(backend, engine-mode, workload) rollups;
+  cross-cell per-(engine-mode, workload) rollups;
 * :mod:`repro.obs.observatory` — the ``repro report`` dashboard over
   BENCH artifacts, streams, manifests, spans and bench history.
 

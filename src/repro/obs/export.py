@@ -13,7 +13,7 @@ in the two shapes external tooling expects:
   :func:`parse_openmetrics` can restore it.
 * :func:`rollup_results` — cross-cell aggregation: merges per-cell
   telemetry payloads from a sweep/fleet into one registry per
-  ``(backend, engine_mode, workload)`` group (plus a grand total), which
+  ``(engine_mode, workload)`` group (plus a grand total), which
   :func:`to_openmetrics` then renders as label sets on the samples.
 
 Rendering is deterministic: groups and instruments are emitted sorted,
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.obs.telemetry import Telemetry
 
 #: Group keys used for cross-cell rollups, in label order.
-ROLLUP_KEYS = ("backend", "engine_mode", "workload")
+ROLLUP_KEYS = ("engine_mode", "workload")
 
 #: Label set marking the merged-everything group.
 TOTAL_LABELS: Tuple[Tuple[str, str], ...] = ()
@@ -103,7 +103,7 @@ def to_openmetrics(telemetry_or_groups) -> str:
 
     With groups, same-named instruments from different groups share one
     metric family and are distinguished by their label sets, which is
-    how per-(backend, engine-mode, workload) rollups read naturally in
+    how per-(engine-mode, workload) rollups read naturally in
     Prometheus-style tooling.
     """
     groups = _normalise_groups(telemetry_or_groups)
@@ -357,7 +357,7 @@ def rollup_results(cells, results,
 
     *cells* and *results* are parallel sequences (failed cells'
     ``CellError`` entries carry no telemetry and are skipped).  Each
-    cell contributes to its ``(backend, engine_mode, workload)`` group
+    cell contributes to its ``(engine_mode, workload)`` group
     and to the unlabeled grand total.  Returns the sorted group list
     :func:`to_openmetrics` accepts directly.
     """

@@ -7,8 +7,7 @@ fleet-level counterpart here is the *run manifest*: one JSON object
 attached to every ``run``/``sweep``/``fleet`` invocation (and embedded
 in sweep-stream headers and ``BENCH_*.json`` artifacts) that records
 
-* **what ran** — config name + specialization shape, predictor backend,
-  engine mode, workload, seed, branch/warmup counts, fault plan;
+* **what ran** — config name + specialization shape, engine mode, workload, seed, branch/warmup counts, fault plan;
 * **where** — host platform, python version/implementation, cpu count;
 * **how it went** — wall/cpu timings, the RunStats fingerprint digest,
   and (when state was saved) the learned-state fingerprint.
@@ -116,7 +115,6 @@ def build_manifest(
     *,
     config=None,
     config_name: Optional[str] = None,
-    backend: Optional[str] = None,
     engine_mode: Optional[str] = None,
     workload: Optional[str] = None,
     seed: Optional[int] = None,
@@ -140,7 +138,6 @@ def build_manifest(
         "kind": kind,
         "host": host_info(),
         "config": _config_info(config, config_name),
-        "backend": backend,
         "engine_mode": engine_mode,
         "workload": workload,
         "seed": seed,

@@ -1,7 +1,7 @@
 """The ``repro report`` observatory: artifact ingestion and dashboards.
 
 Every earlier PR left a machine-readable artifact behind —
-``BENCH_throughput.json`` (``repro-throughput/v3``), ``BENCH_fleet.json``
+``BENCH_throughput.json`` (``repro-throughput/v4``), ``BENCH_fleet.json``
 (``repro-fleet/v1``), sweep checkpoint streams
 (``repro-sweep-stream/v1``), branch traces (``repro-trace/v1``) — and
 this PR adds manifests (``repro-manifest/v1``), span files
@@ -12,9 +12,9 @@ renders one markdown dashboard with
 
 * throughput headlines and **trend deltas** against the previous
   history entry (regressions highlighted);
-* fleet rollups per backend / engine mode / workload;
-* sweep-stream summaries rolled up per (backend, engine mode) with
-  failure counts;
+* fleet rollups per engine mode / workload;
+* sweep-stream summaries rolled up per engine mode with failure
+  counts;
 * run manifests (what ran where), and span phase-latency percentiles.
 
 Nothing here executes the simulator; the observatory is pure file
@@ -38,6 +38,7 @@ REGRESSION_THRESHOLD = -0.05
 #: Artifact schema tag -> observatory kind.
 _SCHEMA_KINDS = {
     "repro-throughput/v3": "throughput",
+    "repro-throughput/v4": "throughput",
     "repro-fleet/v1": "fleet",
     MANIFEST_SCHEMA: "manifest",
     "repro-sweep-stream/v1": "stream",
@@ -107,6 +108,30 @@ def load_history(path: str, strict: bool = False) -> List[Dict[str, object]]:
     return rows
 
 
+def single_run_rows(payload: Dict[str, object]) -> List[
+        Tuple[str, str, float]]:
+    """Flatten a throughput artifact's single_run section into
+    (workload, engine mode, bps) rows.  v4 files nest per engine mode.
+    Files written before the array backend was retired carry a backend
+    level (v1: one flat number per workload, implicitly object/reference;
+    v2: one number per backend; v3: per backend per engine mode); their
+    object rows are kept and their array rows dropped."""
+    rows = []
+    for name, entry in (payload.get("single_run") or {}).items():
+        if "branches_per_second" in entry:  # v1
+            rows.append((name, "reference", entry["branches_per_second"]))
+            continue
+        if "object" in entry or "array" in entry:  # v2/v3
+            entry = entry.get("object", {})
+            if "branches_per_second" in entry:  # v2
+                rows.append((name, "reference",
+                             entry["branches_per_second"]))
+                continue
+        for mode, inner in entry.items():  # {engine_mode: {bps: ...}}
+            rows.append((name, mode, inner["branches_per_second"]))
+    return rows
+
+
 def throughput_metrics(payload: Dict[str, object]) -> Dict[str, float]:
     """Flatten a throughput artifact to dotted metric names."""
     metrics: Dict[str, float] = {}
@@ -118,12 +143,8 @@ def throughput_metrics(payload: Dict[str, object]) -> Dict[str, float]:
         metrics["sweep.parallel.bps"] = parallel["branches_per_second"]
     if payload.get("speedup") is not None:
         metrics["sweep.speedup"] = payload["speedup"]
-    for workload, backends in (payload.get("single_run") or {}).items():
-        for backend, modes in backends.items():
-            for mode, cell in modes.items():
-                metrics[f"single.{workload}.{backend}.{mode}.bps"] = (
-                    cell["branches_per_second"]
-                )
+    for workload, mode, bps in single_run_rows(payload):
+        metrics[f"single.{workload}.{mode}.bps"] = bps
     return metrics
 
 
@@ -253,13 +274,25 @@ def _delta_cell(change: float) -> str:
     return f"{change:+.1%}{mark}"
 
 
+def _trend_lines(history: List[Dict], kind: str) -> List[str]:
+    """The trend table for the newest pair of *kind* history rows."""
+    deltas = trend_deltas(history, kind)
+    if not deltas:
+        return []
+    lines = ["\n### Trend vs previous run", "",
+             "| metric | previous | latest | delta |", "|---|---|---|---|"]
+    for metric, before, after, change in deltas:
+        lines.append(f"| {metric} | {_fmt(before)} | {_fmt(after)} "
+                     f"| {_delta_cell(change)} |")
+    return lines
+
+
 def _throughput_section(paths: List[str],
                         history: List[Dict]) -> List[str]:
     lines = ["## Throughput"]
     for path in paths:
         payload = _load_json(path)
-        lines.append(f"\n`{os.path.basename(path)}` — backend "
-                     f"`{payload.get('backend')}`, engine mode "
+        lines.append(f"\n`{os.path.basename(path)}` — engine mode "
                      f"`{payload.get('engine_mode')}`, "
                      f"{_fmt(payload.get('cpu_count'), 0)} cpus")
         sequential = payload.get("sequential") or {}
@@ -272,28 +305,14 @@ def _throughput_section(paths: List[str],
         lines.append(f"| parallel sweep bps | "
                      f"{_fmt(parallel.get('branches_per_second'))} |")
         lines.append(f"| speedup | {_fmt(payload.get('speedup'), 2)}x |")
-        single = payload.get("single_run") or {}
+        single = sorted(single_run_rows(payload))
         if single:
             lines.append("")
-            lines.append("| workload | backend | mode | bps |")
-            lines.append("|---|---|---|---|")
-            for workload in sorted(single):
-                for backend in sorted(single[workload]):
-                    for mode in sorted(single[workload][backend]):
-                        bps = single[workload][backend][mode][
-                            "branches_per_second"]
-                        lines.append(f"| {workload} | {backend} | {mode} "
-                                     f"| {_fmt(bps)} |")
-    deltas = trend_deltas(history, "throughput")
-    if deltas:
-        lines.append("\n### Trend vs previous run")
-        lines.append("")
-        lines.append("| metric | previous | latest | delta |")
-        lines.append("|---|---|---|---|")
-        for metric, before, after, change in deltas:
-            lines.append(f"| {metric} | {_fmt(before)} | {_fmt(after)} "
-                         f"| {_delta_cell(change)} |")
-    return lines
+            lines.append("| workload | mode | bps |")
+            lines.append("|---|---|---|")
+            for workload, mode, bps in single:
+                lines.append(f"| {workload} | {mode} | {_fmt(bps)} |")
+    return lines + _trend_lines(history, "throughput")
 
 
 def _fleet_section(paths: List[str], history: List[Dict]) -> List[str]:
@@ -334,16 +353,7 @@ def _fleet_section(paths: List[str], history: List[Dict]) -> List[str]:
                     f"| {key} | {_fmt(cell.get('branches'), 0)} | "
                     f"{_fmt(cell.get('branches_per_second'))} |"
                 )
-    deltas = trend_deltas(history, "fleet")
-    if deltas:
-        lines.append("\n### Trend vs previous run")
-        lines.append("")
-        lines.append("| metric | previous | latest | delta |")
-        lines.append("|---|---|---|---|")
-        for metric, before, after, change in deltas:
-            lines.append(f"| {metric} | {_fmt(before)} | {_fmt(after)} "
-                         f"| {_delta_cell(change)} |")
-    return lines
+    return lines + _trend_lines(history, "fleet")
 
 
 def _stream_section(paths: List[str], strict: bool = False) -> List[str]:
@@ -362,26 +372,26 @@ def _stream_section(paths: List[str], strict: bool = False) -> List[str]:
             lines.append(f"manifest: kind `{manifest.get('kind')}` on "
                          f"`{host.get('platform', '?')}`, python "
                          f"{host.get('python', '?')}")
-        groups: Dict[Tuple[str, str], Dict[str, float]] = {}
+        groups: Dict[str, Dict[str, float]] = {}
         for row in ok:
             cell = row.get("cell") or {}
-            key = (str(cell.get("backend")), str(cell.get("engine_mode")))
             group = groups.setdefault(
-                key, {"cells": 0, "branches": 0, "elapsed": 0.0}
+                str(cell.get("engine_mode")),
+                {"cells": 0, "branches": 0, "elapsed": 0.0}
             )
             group["cells"] += 1
             group["branches"] += cell.get("branches") or 0
             group["elapsed"] += row.get("elapsed") or 0.0
         if groups:
             lines.append("")
-            lines.append("| backend | mode | cells | branches | bps |")
-            lines.append("|---|---|---|---|---|")
-            for (backend, mode) in sorted(groups):
-                group = groups[(backend, mode)]
+            lines.append("| mode | cells | branches | bps |")
+            lines.append("|---|---|---|---|")
+            for mode in sorted(groups):
+                group = groups[mode]
                 bps = (group["branches"] / group["elapsed"]
                        if group["elapsed"] else None)
                 lines.append(
-                    f"| {backend} | {mode} | {_fmt(group['cells'], 0)} | "
+                    f"| {mode} | {_fmt(group['cells'], 0)} | "
                     f"{_fmt(group['branches'], 0)} | {_fmt(bps)} |"
                 )
         for row in failed:
@@ -396,9 +406,9 @@ def _manifest_section(paths: List[str]) -> List[str]:
     from repro.obs.manifest import validate_manifest
 
     lines = ["## Manifests", ""]
-    lines.append("| kind | config | backend | mode | workload | seed "
+    lines.append("| kind | config | mode | workload | seed "
                  "| wall s | fingerprint |")
-    lines.append("|---|---|---|---|---|---|---|---|")
+    lines.append("|---|---|---|---|---|---|---|")
     for path in paths:
         manifest = validate_manifest(_load_json(path), path)
         config = manifest.get("config") or {}
@@ -409,7 +419,6 @@ def _manifest_section(paths: List[str]) -> List[str]:
             fingerprint = fingerprint[:12] + "…"
         lines.append(
             f"| {manifest.get('kind')} | {config.get('name') or 'n/a'} "
-            f"| {manifest.get('backend') or 'n/a'} "
             f"| {manifest.get('engine_mode') or 'n/a'} "
             f"| {manifest.get('workload') or 'n/a'} "
             f"| {manifest.get('seed') if manifest.get('seed') is not None else 'n/a'} "
@@ -503,12 +512,18 @@ def render_dashboard(artifacts: Dict[str, List[str]],
     regressions = _regression_section(history)
     if regressions:
         sections.append(regressions)
-    if artifacts.get("throughput"):
-        sections.append(
-            _throughput_section(artifacts["throughput"], history)
-        )
-    if artifacts.get("fleet"):
-        sections.append(_fleet_section(artifacts["fleet"], history))
+    for kind, heading, render in (
+        ("throughput", "## Throughput", _throughput_section),
+        ("fleet", "## Fleet", _fleet_section),
+    ):
+        if artifacts.get(kind):
+            sections.append(render(artifacts[kind], history))
+            continue
+        # History alone (no BENCH artifact alongside) still shows how
+        # the newest run moved against the one before it.
+        trend = _trend_lines(history, kind)
+        if trend:
+            sections.append([heading] + trend)
     if artifacts.get("stream"):
         sections.append(_stream_section(artifacts["stream"],
                                         strict=strict))
@@ -533,6 +548,7 @@ __all__ = [
     "history_row",
     "load_history",
     "render_dashboard",
+    "single_run_rows",
     "throughput_metrics",
     "trend_deltas",
 ]

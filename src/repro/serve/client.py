@@ -23,10 +23,10 @@ import itertools
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ServeError
+from repro.core.predictor import LookaheadBranchPredictor
 from repro.serve import protocol
 from repro.serve.shard import compute_batch, config_factory
 from repro.stats import RunStats
-from repro.engine import create_predictor
 from repro.workloads import get_workload
 from repro.workloads.executor import Executor
 
@@ -36,7 +36,6 @@ class TenantPlan:
 
     def __init__(self, tenant: str, workload: str, seed: int,
                  branches: int, batch_size: int, *, config: str = "z15",
-                 backend: str = "object",
                  deadline_ms: Optional[int] = None, burst: int = 1,
                  pace: float = 0.0):
         self.tenant = protocol.validate_tenant(tenant)
@@ -45,7 +44,6 @@ class TenantPlan:
         self.branches = branches
         self.batch_size = batch_size
         self.config = config
-        self.backend = backend
         self.deadline_ms = deadline_ms
         self.burst = max(1, burst)
         #: Seconds between waves — stretches the run so injected
@@ -65,7 +63,7 @@ class TenantPlan:
         return {"tenant": self.tenant, "workload": self.workload,
                 "seed": self.seed, "branches": self.branches,
                 "batch_size": self.batch_size, "config": self.config,
-                "backend": self.backend, "deadline_ms": self.deadline_ms,
+                "deadline_ms": self.deadline_ms,
                 "burst": self.burst, "pace": self.pace}
 
 
@@ -76,8 +74,7 @@ def reference_fingerprint(plan: TenantPlan) -> Dict:
     identity here means the service layer added nothing and lost
     nothing.
     """
-    predictor = create_predictor(config_factory(plan.config)(),
-                                 plan.backend)
+    predictor = LookaheadBranchPredictor(config_factory(plan.config)())
     stats = RunStats()
     fingerprint = protocol.GENESIS_FINGERPRINT
     needs_restart = True
@@ -143,10 +140,8 @@ class ServeClient:
 
     # Convenience wrappers -----------------------------------------------
 
-    async def open(self, tenant: str, config: str = "z15",
-                   backend: str = "object") -> Dict:
-        return await self.call("open", tenant=tenant, config=config,
-                               backend=backend)
+    async def open(self, tenant: str, config: str = "z15") -> Dict:
+        return await self.call("open", tenant=tenant, config=config)
 
     async def predict(self, tenant: str, seq: int, branches: Sequence,
                       deadline_ms: Optional[int] = None) -> Dict:
@@ -251,8 +246,7 @@ class LoadGenerator:
         try:
             await self._call_until_ok(client, report, "open",
                                       tenant=plan.tenant,
-                                      config=plan.config,
-                                      backend=plan.backend)
+                                      config=plan.config)
             responses: Dict[int, Dict] = {}
             for start in range(0, len(batches), plan.burst):
                 wave = list(range(start, min(start + plan.burst,
@@ -336,8 +330,7 @@ class LoadGenerator:
                     # The owning shard restarted and its recovery lost a
                     # race with us; re-open (recovers the journal) and
                     # resend.
-                    await client.open(plan.tenant, plan.config,
-                                      plan.backend)
+                    await client.open(plan.tenant, plan.config)
                 elif code not in (protocol.REJECT_QUEUE_FULL,
                                   protocol.REJECT_SHED,
                                   protocol.REJECT_DEADLINE,

@@ -66,9 +66,11 @@ class TenantPaths:
         return self.journal.exists() or self.snapshot.exists()
 
 
-def journal_header(tenant: str, config: str, backend: str) -> Dict:
+def journal_header(tenant: str, config: str, *_retired) -> Dict:
+    """A journal's first line.  A third positional argument (the
+    predictor backend older callers pass) is accepted and ignored."""
     return {"type": "header", "schema": JOURNAL_SCHEMA, "tenant": tenant,
-            "config": config, "backend": backend}
+            "config": config}
 
 
 class JournalWriter:

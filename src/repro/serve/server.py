@@ -146,11 +146,9 @@ class ServerMetrics:
 class TenantSession:
     """Server-side view of one tenant: placement, load, warmth, recency."""
 
-    def __init__(self, tenant: str, config: str, backend: str,
-                 shard_index: int):
+    def __init__(self, tenant: str, config: str, shard_index: int):
         self.tenant = tenant
         self.config = config
-        self.backend = backend
         self.shard_index = shard_index
         self.outstanding = 0
         self.warm = True
@@ -297,8 +295,7 @@ class PredictorServer:
                     reply = await shard.request(
                         "open",
                         {"tenant": session.tenant,
-                         "config": session.config,
-                         "backend": session.backend},
+                         "config": session.config},
                         timeout=self.options.request_timeout,
                     )
                 except (ShardUnavailable, asyncio.TimeoutError):
@@ -442,6 +439,13 @@ class PredictorServer:
     async def _op_open(self, message: Dict) -> Dict:
         request_id = message.get("id")
         tenant = protocol.validate_tenant(message.get("tenant"))
+        # Older clients send the retired predictor-backend field; only
+        # the one implementation there is may be named.
+        if message.get("backend", "object") != "object":
+            raise ServeError(
+                f"invalid backend {message['backend']!r}: the server runs "
+                f"one predictor implementation (\"object\")"
+            )
         session = self.sessions.get(tenant)
         if session is not None and session.open:
             return protocol.ok(request_id, existing=True,
@@ -454,8 +458,7 @@ class PredictorServer:
             reply = await self.shards[shard_index].request(
                 "open",
                 {"tenant": tenant,
-                 "config": message.get("config", "z15"),
-                 "backend": message.get("backend", "object")},
+                 "config": message.get("config", "z15")},
                 timeout=self.options.request_timeout,
             )
         except (ShardUnavailable, asyncio.TimeoutError):
@@ -466,7 +469,6 @@ class PredictorServer:
         if reply.get("status") != "ok":
             return dict(reply, id=request_id)
         session = TenantSession(tenant, message.get("config", "z15"),
-                                message.get("backend", "object"),
                                 shard_index)
         self.sessions[tenant] = session
         self._touch(session)

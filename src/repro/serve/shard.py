@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import JournalError, ServeError
 from repro.configs import GENERATIONS
+from repro.core.predictor import LookaheadBranchPredictor
 from repro.core.state_io import load_state, save_state
-from repro.engine import create_predictor
 from repro.serve import protocol
 from repro.serve.journal import (
     JournalWriter,
@@ -77,13 +77,12 @@ class TenantState:
     """One tenant's full serving state: predictor, stats, fingerprint
     chain, journal, and the warm/cold + restart-pending flags."""
 
-    def __init__(self, tenant: str, config: str, backend: str,
+    def __init__(self, tenant: str, config: str,
                  spool_dir: Union[str, Path], checkpoint_every: int = 0):
         protocol.validate_tenant(tenant)
         config_factory(config)  # validate early
         self.tenant = tenant
         self.config = config
-        self.backend = backend
         self.checkpoint_every = checkpoint_every
         self.paths = TenantPaths(spool_dir, tenant).ensure()
         self.predictor = None
@@ -103,10 +102,11 @@ class TenantState:
     def open_fresh(self) -> None:
         self.journal = JournalWriter(
             self.paths.journal,
-            journal_header(self.tenant, self.config, self.backend),
+            journal_header(self.tenant, self.config),
         )
-        self.predictor = create_predictor(config_factory(self.config)(),
-                                          self.backend)
+        self.predictor = LookaheadBranchPredictor(
+            config_factory(self.config)()
+        )
         self.warm = True
         self.needs_restart = True
 
@@ -122,8 +122,7 @@ class TenantState:
         if not paths.exists():
             raise JournalError(f"{paths.directory}: nothing to recover")
         header, events = load_journal(paths.journal)
-        state = cls(tenant, header["config"], header["backend"],
-                    spool_dir, checkpoint_every)
+        state = cls(tenant, header["config"], spool_dir, checkpoint_every)
         snapshot = read_snapshot(paths.snapshot)
         if snapshot is not None:
             if snapshot.get("tenant") != tenant:
@@ -139,8 +138,8 @@ class TenantState:
             state.needs_restart = snapshot["needs_restart"]
             state.last_response = snapshot["last_response"]
         else:
-            state.predictor = create_predictor(
-                config_factory(state.config)(), state.backend
+            state.predictor = LookaheadBranchPredictor(
+                config_factory(state.config)()
             )
             state.warm = True
         base_seq = state.next_seq
@@ -153,7 +152,7 @@ class TenantState:
         # Reopen for appends only now: replay must never double-journal.
         state.journal = JournalWriter(
             paths.journal,
-            journal_header(tenant, state.config, state.backend),
+            journal_header(tenant, state.config),
         )
         return state
 
@@ -199,8 +198,9 @@ class TenantState:
         self.warm = False
 
     def _apply_restore(self) -> None:
-        self.predictor = create_predictor(config_factory(self.config)(),
-                                          self.backend)
+        self.predictor = LookaheadBranchPredictor(
+            config_factory(self.config)()
+        )
         load_state(self.predictor, self.paths.evict_state)
         self.warm = True
         self.needs_restart = True
@@ -248,7 +248,6 @@ class TenantState:
         write_snapshot(self.paths.snapshot, {
             "tenant": self.tenant,
             "config": self.config,
-            "backend": self.backend,
             "seq": self.next_seq,
             "fingerprint": self.fingerprint,
             "predictor": self.predictor,
@@ -331,7 +330,6 @@ def shard_main(conn, spool_dir: str, shard_index: int,
                              "fingerprint": state.fingerprint}
                 else:
                     state = TenantState(name, payload.get("config", "z15"),
-                                        payload.get("backend", "object"),
                                         spool_dir, checkpoint_every)
                     state.open_fresh()
                     tenants[name] = state

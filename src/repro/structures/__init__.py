@@ -3,28 +3,13 @@
 The z15 prediction tables are all variations on a small number of
 primitives: set-associative arrays with an LRU-ish replacement policy,
 saturating counters, and bounded queues.  The concrete predictor tables
-in :mod:`repro.core` are thin, well-named compositions of these; the
-array-backed twins in :mod:`repro.structures.arrays` accelerate them
-with bit-packed SWAR tag mirrors and flat weight buffers.
-
-The array twins subclass the :mod:`repro.core` tables, so importing
-them here eagerly would close an import cycle (core tables import the
-primitives from this package); they are re-exported lazily instead.
+in :mod:`repro.core` are thin, well-named compositions of these.
 """
 
 from repro.structures.assoc import SetAssociativeTable
 from repro.structures.lru import PseudoLruTree, ReplacementPolicy, TrueLru
 from repro.structures.queues import BoundedQueue, QueueFullError
 from repro.structures.saturating import SaturatingCounter, TwoBitDirectionCounter
-
-_ARRAY_EXPORTS = (
-    "NUMPY_AVAILABLE",
-    "PackedLanes",
-    "ArrayBtb1",
-    "ArrayBtb2",
-    "ArrayPerceptron",
-    "ArrayTagePht",
-)
 
 __all__ = [
     "SetAssociativeTable",
@@ -35,13 +20,5 @@ __all__ = [
     "QueueFullError",
     "SaturatingCounter",
     "TwoBitDirectionCounter",
-    *_ARRAY_EXPORTS,
 ]
 
-
-def __getattr__(name: str):
-    if name in _ARRAY_EXPORTS:
-        from repro.structures import arrays
-
-        return getattr(arrays, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,14 +18,8 @@ that localises the *first* diverging branch for debuggability:
   must produce bit-identical per-branch predictions and identical shared
   accuracy invariants (branch counts, per-class mispredict totals,
   coverage; cycle-only timing stats are excluded).
-* **Cross-backend equivalence** — the same workload through the same
-  engine on two predictor *backends* (the object reference model and
-  the array-accelerated twin of :mod:`repro.engine.array`) must produce
-  bit-identical per-branch predictions, identical invariants, *and*
-  identical final table fingerprints — the array backend's claim to
-  existence is this check passing, not its authors' care.
 * **Cross-mode equivalence** — the same workload through the same
-  backend under two *engine modes* (the reference interpreter and the
+  predictor under two *engine modes* (the reference interpreter and the
   config-specialized compiled kernels of
   :mod:`repro.engine.specialize`) must produce bit-identical per-branch
   predictions, invariants, table fingerprints, *and* byte-identical
@@ -34,8 +28,7 @@ that localises the *first* diverging branch for debuggability:
 * **Deterministic replay** — the same seed must reproduce bit-identical
   :class:`~repro.stats.metrics.RunStats` and final predictor state
   across runs, and predictor state must survive a ``state_io``
-  save -> load -> save round-trip byte-identically (including when the
-  restore target is a different backend than the saver).
+  save -> load -> save round-trip byte-identically.
 * **Baseline cross-validation** — directed workloads with known-best
   outcomes (always-taken loops, dead guards, short counted loops) must
   reach their expected direction accuracy on the z15 predictor *and*
@@ -66,7 +59,6 @@ from repro.configs import z15_config
 from repro.core import LookaheadBranchPredictor, load_state, save_state
 from repro.core.predictor import PredictionOutcome
 from repro.core.state_io import _entry_to_dict
-from repro.engine.array import BACKENDS, create_predictor
 from repro.engine.specialize import ENGINE_MODES
 from repro.engine.cycle import CycleEngine
 from repro.engine.functional import FunctionalEngine
@@ -353,7 +345,6 @@ def cross_engine_report(
     config_factory: Callable = z15_config,
     prepare_functional: Optional[Callable] = None,
     prepare_cycle: Optional[Callable] = None,
-    backend: str = "object",
     engine_mode: str = "reference",
 ) -> DivergenceReport:
     """Run *workload* through the functional and cycle engines with
@@ -361,11 +352,11 @@ def cross_engine_report(
 
     The ``prepare_*`` hooks receive the freshly built predictor before
     the run; tests use them to corrupt one side's tables and prove the
-    comparison actually detects divergence.  *backend* selects the
-    predictor backend both engines drive; *engine_mode* the drive mode.
+    comparison actually detects divergence.  *engine_mode* selects the
+    drive mode both engines use.
     """
     functional_observations: List[BranchObservation] = []
-    functional_predictor = create_predictor(config_factory(), backend)
+    functional_predictor = LookaheadBranchPredictor(config_factory())
     if prepare_functional is not None:
         prepare_functional(functional_predictor)
     functional_engine = FunctionalEngine(
@@ -378,7 +369,7 @@ def cross_engine_report(
     )
 
     cycle_observations: List[BranchObservation] = []
-    cycle_predictor = create_predictor(config_factory(), backend)
+    cycle_predictor = LookaheadBranchPredictor(config_factory())
     if prepare_cycle is not None:
         prepare_cycle(cycle_predictor)
     cycle_engine = CycleEngine(
@@ -389,9 +380,7 @@ def cross_engine_report(
         _resolve_workload(workload, seed), max_branches=branches, seed=seed
     ).accuracy
 
-    suffix = "" if backend == "object" else f" [{backend} backend]"
-    if engine_mode != "reference":
-        suffix += f" [{engine_mode} mode]"
+    suffix = "" if engine_mode == "reference" else f" [{engine_mode} mode]"
     report = DivergenceReport(
         title=f"cross-engine {_workload_name(workload)}{suffix}",
         left_label="functional",
@@ -410,79 +399,6 @@ def cross_engine_report(
 
 
 # ----------------------------------------------------------------------
-# Cross-backend equivalence
-# ----------------------------------------------------------------------
-
-
-def cross_backend_report(
-    workload: Workload,
-    branches: int = 3000,
-    seed: int = 1234,
-    config_factory: Callable = z15_config,
-    left_backend: str = "object",
-    right_backend: str = "array",
-    prepare_left: Optional[Callable] = None,
-    prepare_right: Optional[Callable] = None,
-    engine_mode: str = "reference",
-) -> DivergenceReport:
-    """Run *workload* through the functional engine on two predictor
-    backends and compare them branch by branch.
-
-    On top of the per-branch stream and the aggregate invariants, the
-    final learned table state must fingerprint identically — the array
-    backend must not merely predict the same, it must *learn* the same.
-    The ``prepare_*`` hooks mirror :func:`cross_engine_report`'s; tests
-    use them to prove the comparison detects seeded divergence.
-    """
-    streams: List[List[BranchObservation]] = []
-    stats_pair: List[RunStats] = []
-    fingerprints: List[str] = []
-    audits: List[List[str]] = []
-    for backend, prepare in (
-        (left_backend, prepare_left),
-        (right_backend, prepare_right),
-    ):
-        observations: List[BranchObservation] = []
-        predictor = create_predictor(config_factory(), backend)
-        if prepare is not None:
-            prepare(predictor)
-        engine = FunctionalEngine(
-            predictor, observer=observer_into(observations),
-            engine_mode=engine_mode,
-        )
-        stats = engine.run_program(
-            _resolve_workload(workload, seed), max_branches=branches,
-            seed=seed,
-        )
-        streams.append(observations)
-        stats_pair.append(stats)
-        fingerprints.append(predictor_fingerprint(predictor))
-        audits.append(predictor.audit())
-
-    mode_suffix = "" if engine_mode == "reference" else f" [{engine_mode} mode]"
-    report = DivergenceReport(
-        title=f"cross-backend {_workload_name(workload)}{mode_suffix}",
-        left_label=left_backend,
-        right_label=right_backend,
-        branches_compared=min(len(streams[0]), len(streams[1])),
-    )
-    report.first_divergence = diff_observations(streams[0], streams[1])
-    report.aggregate_mismatches = diff_aggregates(
-        comparable_stats(stats_pair[0]), comparable_stats(stats_pair[1])
-    )
-    if fingerprints[0] != fingerprints[1]:
-        report.aggregate_mismatches.append(
-            ("predictor_fingerprint", fingerprints[0], fingerprints[1])
-        )
-    for label, audit in zip((left_backend, right_backend), audits):
-        if audit:
-            report.aggregate_mismatches.append(
-                ("audit", label, "; ".join(audit))
-            )
-    return report
-
-
-# ----------------------------------------------------------------------
 # Cross-mode equivalence (reference interpreter vs compiled kernels)
 # ----------------------------------------------------------------------
 
@@ -492,32 +408,33 @@ def cross_mode_report(
     branches: int = 3000,
     seed: int = 1234,
     config_factory: Callable = z15_config,
-    backend: str = "object",
     left_mode: str = "reference",
     right_mode: str = "fast",
     prepare_left: Optional[Callable] = None,
     prepare_right: Optional[Callable] = None,
 ) -> DivergenceReport:
-    """Run *workload* through the functional engine on one backend under
-    two engine modes and compare them branch by branch.
+    """Run *workload* through the functional engine under two engine
+    modes and compare them branch by branch.
 
     On top of the per-branch stream, the aggregate invariants and the
     final table fingerprints, both predictors' ``state_io`` checkpoints
     must be **byte-identical** — specialization is pure derivation from
     the config, so the compiled kernels may never leave different state
-    behind.  The ``prepare_*`` hooks mirror :func:`cross_engine_report`'s.
+    behind — and both predictors must pass their invariant audits.  The
+    ``prepare_*`` hooks mirror :func:`cross_engine_report`'s.
     """
     streams: List[List[BranchObservation]] = []
     stats_pair: List[RunStats] = []
     fingerprints: List[str] = []
     state_digests: List[str] = []
+    audits: List[List[str]] = []
     with tempfile.TemporaryDirectory() as tmp:
         for mode, prepare in (
             (left_mode, prepare_left),
             (right_mode, prepare_right),
         ):
             observations: List[BranchObservation] = []
-            predictor = create_predictor(config_factory(), backend)
+            predictor = LookaheadBranchPredictor(config_factory())
             if prepare is not None:
                 prepare(predictor)
             engine = FunctionalEngine(
@@ -536,10 +453,10 @@ def cross_mode_report(
             state_digests.append(
                 hashlib.sha256(path.read_bytes()).hexdigest()
             )
+            audits.append(predictor.audit())
 
-    suffix = "" if backend == "object" else f" [{backend} backend]"
     report = DivergenceReport(
-        title=f"cross-mode {_workload_name(workload)}{suffix}",
+        title=f"cross-mode {_workload_name(workload)}",
         left_label=left_mode,
         right_label=right_mode,
         branches_compared=min(len(streams[0]), len(streams[1])),
@@ -556,6 +473,11 @@ def cross_mode_report(
         report.aggregate_mismatches.append(
             ("state_bytes", state_digests[0], state_digests[1])
         )
+    for label, audit in zip((left_mode, right_mode), audits):
+        if audit:
+            report.aggregate_mismatches.append(
+                ("audit", label, "; ".join(audit))
+            )
     return report
 
 
@@ -566,11 +488,10 @@ def cross_mode_report(
 
 def _functional_run(
     workload: Workload, branches: int, seed: int, config_factory: Callable,
-    backend: str = "object",
     engine_mode: str = "reference",
 ) -> Tuple[List[BranchObservation], RunStats, LookaheadBranchPredictor]:
     observations: List[BranchObservation] = []
-    predictor = create_predictor(config_factory(), backend)
+    predictor = LookaheadBranchPredictor(config_factory())
     engine = FunctionalEngine(predictor, observer=observer_into(observations),
                               engine_mode=engine_mode)
     stats = engine.run_program(
@@ -584,20 +505,17 @@ def replay_report(
     branches: int = 3000,
     seed: int = 1234,
     config_factory: Callable = z15_config,
-    backend: str = "object",
     engine_mode: str = "reference",
 ) -> DivergenceReport:
     """Two identically seeded runs must be bit-identical: same per-branch
     predictions, same :class:`RunStats`, same final predictor state."""
     first_obs, first_stats, first_pred = _functional_run(
-        workload, branches, seed, config_factory, backend, engine_mode
+        workload, branches, seed, config_factory, engine_mode
     )
     second_obs, second_stats, second_pred = _functional_run(
-        workload, branches, seed, config_factory, backend, engine_mode
+        workload, branches, seed, config_factory, engine_mode
     )
-    suffix = "" if backend == "object" else f" [{backend} backend]"
-    if engine_mode != "reference":
-        suffix += f" [{engine_mode} mode]"
+    suffix = "" if engine_mode == "reference" else f" [{engine_mode} mode]"
     report = DivergenceReport(
         title=f"replay {_workload_name(workload)} seed={seed}{suffix}",
         left_label="run-1",
@@ -620,18 +538,10 @@ def replay_report(
 def state_roundtrip_report(
     predictor: LookaheadBranchPredictor,
     label: str = "predictor",
-    restore_backend: Optional[str] = None,
 ) -> DivergenceReport:
     """Save *predictor*'s state, restore it into a fresh same-config
     predictor, save again — the two files must be byte-identical and
-    the restored tables must fingerprint identically.
-
-    By default the fresh predictor is the same class as the saver, so
-    an array-backed predictor round-trips through its own backend;
-    *restore_backend* forces the restore target onto a named backend
-    for cross-backend checkpoint checks (e.g. array state restored
-    into the object model, or vice versa).
-    """
+    the restored tables must fingerprint identically."""
     report = DivergenceReport(
         title=f"state round-trip {label}",
         left_label="saved",
@@ -642,10 +552,7 @@ def state_roundtrip_report(
         first_path = Path(tmp) / "first.json"
         second_path = Path(tmp) / "second.json"
         saved = save_state(predictor, first_path)
-        if restore_backend is None:
-            fresh = type(predictor)(predictor.config)
-        else:
-            fresh = create_predictor(predictor.config, restore_backend)
+        fresh = type(predictor)(predictor.config)
         loaded = load_state(fresh, first_path)
         resaved = save_state(fresh, second_path)
         if saved != loaded:
@@ -861,96 +768,53 @@ def run_differential_suite(
     branches: int = 3000,
     workloads: Sequence[str] = DEFAULT_WORKLOAD_FAMILIES,
     config_factory: Callable = z15_config,
-    backends: Sequence[str] = ("object", "array"),
     engine_modes: Sequence[str] = ("reference", "fast"),
 ) -> DifferentialResult:
     """The full differential sweep the CLI exposes as ``verify-diff``.
 
-    *backends* names the predictor backends to verify: the first is the
-    reference every other backend is differentially compared against
-    (per-branch streams, invariants and final table fingerprints), and
-    the cross-engine functional-vs-cycle check runs on each.
-
-    *engine_modes* names the drive modes to verify as a full matrix
-    against the backends: the first is the reference mode; every other
-    mode is cross-mode compared against it on **every** backend
+    *engine_modes* names the drive modes to verify: the first is the
+    reference mode every other mode is cross-mode compared against
     (per-branch streams, invariants, table fingerprints, byte-identical
-    checkpoints), the cross-engine and cross-backend checks repeat under
-    each mode, and replay runs on each (backend, mode) pair.
+    checkpoints), and the cross-engine functional-vs-cycle check and
+    replay run under each mode.
     """
-    for backend in backends:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown predictor backend {backend!r}; "
-                f"choose from {sorted(BACKENDS)}"
-            )
     for mode in engine_modes:
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"unknown engine mode {mode!r}; "
                 f"choose from {sorted(ENGINE_MODES)}"
             )
-    reference = backends[0]
     reference_mode = engine_modes[0]
     result = DifferentialResult()
     for workload in workloads:
-        for backend in backends:
-            for mode in engine_modes:
-                result.reports.append(
-                    cross_engine_report(
-                        workload, branches=branches, seed=seed,
-                        config_factory=config_factory, backend=backend,
-                        engine_mode=mode,
-                    )
-                )
-            for mode in engine_modes[1:]:
-                result.reports.append(
-                    cross_mode_report(
-                        workload, branches=branches, seed=seed,
-                        config_factory=config_factory, backend=backend,
-                        left_mode=reference_mode, right_mode=mode,
-                    )
-                )
-        for backend in backends[1:]:
-            for mode in engine_modes:
-                result.reports.append(
-                    cross_backend_report(
-                        workload, branches=branches, seed=seed,
-                        config_factory=config_factory,
-                        left_backend=reference, right_backend=backend,
-                        engine_mode=mode,
-                    )
-                )
-    for backend in backends:
         for mode in engine_modes:
             result.reports.append(
-                replay_report(
-                    workloads[0], branches=branches, seed=seed,
-                    config_factory=config_factory, backend=backend,
-                    engine_mode=mode,
+                cross_engine_report(
+                    workload, branches=branches, seed=seed,
+                    config_factory=config_factory, engine_mode=mode,
                 )
             )
-    # State persistence round-trips on warmed predictors: each backend
-    # through itself, plus every non-reference backend's state restored
-    # into the reference model (and the reference's into it).
-    for backend in backends:
-        _obs, _stats, warmed = _functional_run(
-            workloads[-1], branches, seed, config_factory, backend
-        )
-        result.reports.append(
-            state_roundtrip_report(
-                warmed, label=f"after {workloads[-1]} [{backend}]"
-            )
-        )
-        for other in backends:
-            if other == backend:
-                continue
+        for mode in engine_modes[1:]:
             result.reports.append(
-                state_roundtrip_report(
-                    warmed,
-                    label=f"after {workloads[-1]} [{backend} -> {other}]",
-                    restore_backend=other,
+                cross_mode_report(
+                    workload, branches=branches, seed=seed,
+                    config_factory=config_factory,
+                    left_mode=reference_mode, right_mode=mode,
                 )
             )
+    for mode in engine_modes:
+        result.reports.append(
+            replay_report(
+                workloads[0], branches=branches, seed=seed,
+                config_factory=config_factory, engine_mode=mode,
+            )
+        )
+    # State persistence round-trip on a warmed predictor.
+    _obs, _stats, warmed = _functional_run(
+        workloads[-1], branches, seed, config_factory
+    )
+    result.reports.append(
+        state_roundtrip_report(warmed, label=f"after {workloads[-1]}")
+    )
     result.baseline_checks = cross_validate_baselines(seed=seed)
     return result

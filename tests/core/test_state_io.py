@@ -10,14 +10,14 @@ from repro.configs.predictor import Btb1Config, PredictorConfig
 from repro.core import LookaheadBranchPredictor, load_state, save_state
 from repro.core.entries import BtbEntry
 from repro.core.state_io import STATE_FORMAT
-from repro.engine import FunctionalEngine, create_predictor
+from repro.engine import FunctionalEngine
 from repro.isa.instructions import BranchKind
 from repro.structures.saturating import TwoBitDirectionCounter
 from repro.workloads import get_workload
 
 
-def warmed_predictor(branches=4000, backend="object"):
-    predictor = create_predictor(z15_config(), backend)
+def warmed_predictor(branches=4000):
+    predictor = LookaheadBranchPredictor(z15_config())
     engine = FunctionalEngine(predictor)
     engine.run_program(get_workload("transactions"), max_branches=branches,
                        warmup_branches=0)
@@ -262,45 +262,3 @@ def test_btb2_state_roundtrips(tmp_path):
     loaded = load_state(fresh, path)
     assert loaded["btb2"] == saved["btb2"]
     assert fresh.btb2.occupancy > 0
-
-
-# ----------------------------------------------------------------------
-# Array-backend checkpoints
-# ----------------------------------------------------------------------
-
-
-def test_array_state_roundtrip_is_byte_identical(tmp_path):
-    """An array-backend checkpoint must survive save -> load -> save
-    with byte-identical JSON, through array-backend predictors."""
-    predictor = warmed_predictor(branches=3000, backend="array")
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
-    save_state(predictor, first)
-    fresh = create_predictor(z15_config(), "array")
-    load_state(fresh, first)
-    save_state(fresh, second)
-    assert first.read_bytes() == second.read_bytes()
-    # Restoring went through the mirror-synchronising install paths.
-    assert fresh.btb1.audit() == []
-    assert fresh.btb2.audit() == []
-
-
-@pytest.mark.parametrize("save_backend,restore_backend", [
-    ("object", "array"),
-    ("array", "object"),
-])
-def test_cross_backend_checkpoints_are_byte_identical(
-    tmp_path, save_backend, restore_backend
-):
-    """State files are backend-neutral: a checkpoint restored into the
-    other backend and re-saved must reproduce the same bytes."""
-    predictor = warmed_predictor(branches=3000, backend=save_backend)
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
-    save_state(predictor, first)
-    fresh = create_predictor(z15_config(), restore_backend)
-    load_state(fresh, first)
-    save_state(fresh, second)
-    assert first.read_bytes() == second.read_bytes()
-    assert fresh.btb1.occupancy == predictor.btb1.occupancy
-    assert fresh.btb2.occupancy == predictor.btb2.occupancy

@@ -1,33 +1,41 @@
-"""The backends × engine-modes differential battery.
+"""The engine-modes differential battery.
 
 ``--engine-mode fast`` claims byte-identical behaviour to the reference
 interpreter: same committed branch stream, same
 :class:`~repro.stats.metrics.RunStats` invariants, same learned table
 fingerprints, byte-identical ``state_io`` checkpoints — on every
-backend, every generation config, with telemetry, fault injection and
-observers on or off, through every run entry point (``run_program``,
-``run_branches``, ``run_events``/``run_interleaved``, the cycle
-engine).  This module is the proof, and — like the cross-backend
-battery — it also proves the *detector* detects, so a clean run means
-equivalence rather than a broken comparison.
+generation config, with telemetry, fault injection and observers on or
+off, through every run entry point (``run_program``, ``run_branches``,
+``run_events``/``run_interleaved``, the cycle engine).  This module is
+the proof, and it also proves the *detector* detects, so a clean run
+means equivalence rather than a broken comparison.
+
+Hypothesis properties extend the directed sweep to randomly shaped
+programs and raw incoherent event streams (the shared strategies from
+``tests/conftest.py``), where hand-picked workloads have no coverage.
 
 Workload Programs are stateful (behaviours carry loop counters and
 pattern positions), so every run here builds its workload fresh; a
 shared Program diverges even reference-vs-reference.
 """
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.configs import GENERATIONS, z15_config
 from repro.core.entries import BtbEntry
-from repro.engine import CycleEngine, FunctionalEngine, create_predictor
+from repro.core.predictor import LookaheadBranchPredictor
+from repro.engine import CycleEngine, FunctionalEngine
 from repro.isa.instructions import BranchKind
 from repro.obs import TelemetrySession
 from repro.resilience import FaultInjector, FaultPlan
 from repro.structures.saturating import TwoBitDirectionCounter
 from repro.verification.differential import (
+    BranchObservation,
     comparable_stats,
-    cross_backend_report,
     cross_engine_report,
     cross_mode_report,
     observer_into,
@@ -37,17 +45,23 @@ from repro.verification.differential import (
 from repro.workloads import STANDARD_WORKLOADS, get_workload
 from repro.workloads.executor import Executor
 from repro.workloads.multi import InterleavedRun
-from tests.conftest import DEFAULT_TEST_SEED
+from tests.conftest import (
+    DEFAULT_TEST_SEED,
+    branch_events,
+    dynamic_branch_from_event,
+    program_shapes,
+    small_predictor_config,
+)
 
 
-def _run_mode(mode, backend="object", workload="transactions",
+def _run_mode(mode, workload="transactions",
               branches=1500, config_factory=z15_config, telemetry=False,
               fault_plan=None, observe=False, warmup=0):
     """One functional run in *mode* with optional attachments; returns
     (observations, stats, predictor).  The workload is built fresh —
     Programs are stateful and must never be shared across runs."""
     observations = []
-    predictor = create_predictor(config_factory(), backend)
+    predictor = LookaheadBranchPredictor(config_factory())
     session = None
     if telemetry:
         session = TelemetrySession(predictor=predictor, interval=500,
@@ -71,14 +85,14 @@ def _run_mode(mode, backend="object", workload="transactions",
 
 
 # ----------------------------------------------------------------------
-# The matrix: workloads × backends × generations
+# The matrix: workloads × generations
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workload", sorted(STANDARD_WORKLOADS))
 def test_suite_workload_cross_mode_equivalence(workload):
-    """Every standard workload, object backend: identical stream,
-    invariants, fingerprints and byte-identical checkpoints."""
+    """Every standard workload: identical stream, invariants,
+    fingerprints and byte-identical checkpoints."""
     report = cross_mode_report(
         workload, branches=1200, seed=DEFAULT_TEST_SEED
     )
@@ -86,28 +100,15 @@ def test_suite_workload_cross_mode_equivalence(workload):
     assert report.branches_compared == 1200
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
 @pytest.mark.parametrize("generation", sorted(GENERATIONS))
-def test_generation_cross_mode_equivalence(generation, backend):
-    """Every generation preset on both backends — including configs with
-    no BTB2, no SKOOT and no speculative overrides, which compile to
-    genuinely different kernel shapes."""
+def test_generation_cross_mode_equivalence(generation):
+    """Every generation preset — including configs with no BTB2, no
+    SKOOT and no speculative overrides, which compile to genuinely
+    different kernel shapes."""
     factory, _ = GENERATIONS[generation]
     report = cross_mode_report(
         "transactions", branches=1200, seed=DEFAULT_TEST_SEED,
-        config_factory=factory, backend=backend,
-    )
-    assert report.clean, report.summary()
-
-
-@pytest.mark.parametrize("generation", sorted(GENERATIONS))
-def test_fast_mode_cross_backend_equivalence(generation):
-    """The other diagonal of the matrix: object vs array compared while
-    *both* run fast mode."""
-    factory, _ = GENERATIONS[generation]
-    report = cross_backend_report(
-        "compute-kernel", branches=1200, seed=DEFAULT_TEST_SEED,
-        config_factory=factory, engine_mode="fast",
+        config_factory=factory,
     )
     assert report.clean, report.summary()
 
@@ -183,7 +184,7 @@ def test_run_branches_matches_reference():
     branches = _recorded_branches()
     results = []
     for mode in ("reference", "fast"):
-        predictor = create_predictor(z15_config(), "object")
+        predictor = LookaheadBranchPredictor(z15_config())
         engine = FunctionalEngine(predictor, engine_mode=mode)
         stats = engine.run_branches(list(branches))
         results.append((comparable_stats(stats),
@@ -201,7 +202,7 @@ def test_run_interleaved_matches_reference():
                  get_workload("dispatch", DEFAULT_TEST_SEED)]
         run = InterleavedRun(progs, quantum_branches=150,
                              seed=DEFAULT_TEST_SEED)
-        predictor = create_predictor(z15_config(), "object")
+        predictor = LookaheadBranchPredictor(z15_config())
         engine = FunctionalEngine(predictor, engine_mode=mode)
         stats = engine.run_interleaved(run, total_branches=900)
         results.append((comparable_stats(stats),
@@ -209,11 +210,10 @@ def test_run_interleaved_matches_reference():
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_cycle_engine_fast_mode_matches_reference(backend):
+def test_cycle_engine_fast_mode_matches_reference():
     results = []
     for mode in ("reference", "fast"):
-        predictor = create_predictor(z15_config(), backend)
+        predictor = LookaheadBranchPredictor(z15_config())
         engine = CycleEngine(predictor, engine_mode=mode)
         stats = engine.run_program(
             get_workload("transactions", DEFAULT_TEST_SEED),
@@ -228,6 +228,82 @@ def test_cycle_cross_engine_report_in_fast_mode():
     report = cross_engine_report("compute-kernel", branches=600,
                                  seed=DEFAULT_TEST_SEED, engine_mode="fast")
     assert report.clean, report.summary()
+
+
+# ----------------------------------------------------------------------
+# Hypothesis properties (shared strategies, `ci` profile in CI)
+# ----------------------------------------------------------------------
+
+
+def _run_small(mode, program, seed):
+    """*program* on the tiny config in *mode*; returns (observations,
+    stats, predictor)."""
+    observations = []
+    predictor = LookaheadBranchPredictor(small_predictor_config())
+    engine = FunctionalEngine(predictor, observer=observer_into(observations),
+                              engine_mode=mode)
+    stats = engine.run_program(program, max_branches=300, seed=seed)
+    return observations, stats, predictor
+
+
+@settings(max_examples=20, deadline=None)
+@given(program=program_shapes(), seed=st.integers(min_value=0, max_value=999))
+def test_random_programs_are_equivalent(program, seed):
+    """Any runnable program shape: identical streams and fingerprints on
+    the tiny config (fast, and eviction-heavy by construction)."""
+    # Behavior objects (Loop counters etc.) are stateful; each run gets
+    # its own copy so both modes see the same ground-truth stream.
+    obs_ref, stats_ref, pred_ref = _run_small(
+        "reference", copy.deepcopy(program), seed
+    )
+    obs_fast, stats_fast, pred_fast = _run_small(
+        "fast", copy.deepcopy(program), seed
+    )
+    assert obs_ref == obs_fast
+    assert comparable_stats(stats_ref) == comparable_stats(stats_fast)
+    assert predictor_fingerprint(pred_ref) == predictor_fingerprint(pred_fast)
+    assert pred_ref.audit() == []
+    assert pred_fast.audit() == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(events=st.lists(branch_events(), min_size=1, max_size=60))
+def test_incoherent_event_streams_are_equivalent(events):
+    """Raw stream-incoherent branch events — aliasing, thread mixing,
+    context churn — through ``run_events`` in both modes."""
+    results = {}
+    for mode in ("reference", "fast"):
+        observations = []
+        predictor = LookaheadBranchPredictor(small_predictor_config())
+        engine = FunctionalEngine(
+            predictor, observer=observer_into(observations),
+            engine_mode=mode,
+        )
+        stats = engine.run_events(
+            dynamic_branch_from_event(index, event)
+            for index, event in enumerate(events)
+        )
+        results[mode] = (
+            observations,
+            comparable_stats(stats),
+            predictor_fingerprint(predictor),
+            predictor.audit(),
+        )
+    assert results["reference"] == results["fast"]
+    assert results["fast"][3] == []
+
+
+def test_observation_dataclass_equality_is_meaningful():
+    """The battery compares BranchObservation values; make sure two
+    differing observations actually compare unequal."""
+    kwargs = dict(
+        index=0, address=0x100, taken=True, predicted_taken=True,
+        predicted_target=0x200, dynamic=True, mispredict_class="correct",
+    )
+    assert BranchObservation(**kwargs) == BranchObservation(**kwargs)
+    assert BranchObservation(**{**kwargs, "predicted_taken": False}) != (
+        BranchObservation(**kwargs)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -256,3 +332,55 @@ def test_cross_mode_report_detects_divergence():
     assert not report.clean
     assert (report.first_divergence is not None
             or report.aggregate_mismatches)
+
+
+def test_cross_mode_fingerprint_mismatch_is_reported():
+    """Divergence that only shows in learned state (not the stream)
+    still fails: poison a row the workload never reaches."""
+
+    def poison_far_away(predictor):
+        entry = BtbEntry(
+            tag=0,
+            offset=2,
+            length=4,
+            kind=BranchKind.CONDITIONAL_RELATIVE,
+            target=0x700000,
+            bht=TwoBitDirectionCounter(TwoBitDirectionCounter.STRONG_NOT_TAKEN),
+        )
+        predictor.btb1.install(0x6FF000, 3, entry)
+
+    report = cross_mode_report(
+        "compute-kernel", branches=200, seed=DEFAULT_TEST_SEED,
+        prepare_right=poison_far_away,
+    )
+    assert not report.clean
+    assert report.first_divergence is None
+    metrics = {metric for metric, _l, _r in report.aggregate_mismatches}
+    assert {"predictor_fingerprint", "state_bytes"} <= metrics
+
+
+def test_cross_mode_report_flags_a_failed_audit():
+    """An illegal table state on one side fails the report even when the
+    committed stream never touches it."""
+
+    def plant_illegal_entry(predictor):
+        entry = BtbEntry(
+            tag=0,
+            offset=2,
+            length=4,
+            kind=BranchKind.CONDITIONAL_RELATIVE,
+            target=0x700000,
+            bht=TwoBitDirectionCounter(TwoBitDirectionCounter.STRONG_NOT_TAKEN),
+        )
+        entry.skoot = predictor.config.skoot_max + 1
+        predictor.btb1.install(0x6FF000, 3, entry)
+
+    report = cross_mode_report(
+        "compute-kernel", branches=200, seed=DEFAULT_TEST_SEED,
+        prepare_right=plant_illegal_entry,
+    )
+    audits = [(left, right) for metric, left, right
+              in report.aggregate_mismatches if metric == "audit"]
+    assert len(audits) == 1
+    assert audits[0][0] == "fast"
+    assert "skoot" in audits[0][1]

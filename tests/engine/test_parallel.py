@@ -50,32 +50,16 @@ def test_results_preserve_cell_order():
     ]
 
 
-def test_mixed_backend_cells_fingerprint_identically():
-    """A sweep mixing predictor backends must produce identical
-    fingerprints per (config, workload, seed) — backends are equivalent,
-    so `SweepCell.backend` can never change a result."""
-    cells = [
-        SweepCell(label=backend, config=z15_config(),
-                  workload="compute-kernel", seed=3, branches=800,
-                  warmup=100, backend=backend)
-        for backend in ("object", "array")
-    ]
-    object_result, array_result = run_cells(cells, workers=2)
-    assert object_result.fingerprint == array_result.fingerprint
-    assert (stats_fingerprint(object_result.stats)
-            == stats_fingerprint(array_result.stats))
-
-
-def test_make_grid_stamps_backend_on_every_cell():
+def test_make_grid_stamps_engine_mode_on_every_cell():
     grid = make_grid(
         configs=[("z15", z15_config())],
         workloads=["compute-kernel"],
         seeds=(1, 2),
         branches=400,
         warmup=0,
-        backend="array",
+        engine_mode="fast",
     )
-    assert all(cell.backend == "array" for cell in grid)
+    assert all(cell.engine_mode == "fast" for cell in grid)
     results = run_cells(grid, workers=1)
     assert all(result.stats is not None for result in results)
 

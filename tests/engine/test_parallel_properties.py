@@ -2,7 +2,7 @@
 byte-identical to the sequential loop, whatever the grid shape.
 
 Hypothesis draws the whole execution geometry — grid composition
-(concrete Programs and named suite workloads, mixed backends, telemetry
+(concrete Programs and named suite workloads, mixed engine modes, telemetry
 cells, fault-plan cells, functional and cycle engines), chunk size and
 worker count — and the property is always the same string comparison:
 the parallel fingerprint list equals the sequential one, row for row.
@@ -63,7 +63,7 @@ def sweep_cells(draw):
         branches=draw(st.sampled_from([150, 200, 300])),
         warmup=draw(st.sampled_from([0, 50])),
         engine=engine,
-        backend=draw(st.sampled_from(["object", "array"])),
+        engine_mode=draw(st.sampled_from(["reference", "fast"])),
         telemetry=telemetry,
         telemetry_interval=draw(st.sampled_from([0, 100])) if telemetry
         else 0,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -340,7 +342,7 @@ def test_sweep_metrics_out_rolls_up_cells(capsys, tmp_path):
             "500", "--warmup", "100", "--metrics-out", path)
     groups = parse_openmetrics(open(path).read())
     label_sets = [dict(labels) for labels, _ in groups]
-    assert {"backend": "object", "engine_mode": "reference",
+    assert {"engine_mode": "reference",
             "workload": "transactions"} in label_sets
     assert {} in label_sets  # unlabeled grand total
 
@@ -402,3 +404,84 @@ def test_report_writes_markdown_file(capsys, tmp_path):
     run_cli(capsys, "report", str(manifest_path), "--out", out_path)
     text = open(out_path).read()
     assert "Manifests" in text or "manifest" in text
+
+
+# ----------------------------------------------------------------------
+# Throughput baseline gate
+# ----------------------------------------------------------------------
+
+CURRENT_THROUGHPUT = {
+    "schema": "repro-throughput/v4",
+    "sequential": {"branches_per_second": 10_000.0},
+    "single_run": {"transactions": {
+        "reference": {"branches_per_second": 20_000.0},
+        "fast": {"branches_per_second": 30_000.0},
+    }},
+}
+
+
+def _gate(tmp_path, single_run):
+    from repro.__main__ import _check_baseline
+
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"single_run": single_run}))
+    return _check_baseline(CURRENT_THROUGHPUT, str(path), 0.30)
+
+
+def test_baseline_gate_reads_v4(tmp_path):
+    failures = _gate(tmp_path, {"transactions": {
+        "reference": {"branches_per_second": 20_000.0},
+        "fast": {"branches_per_second": 50_000.0},
+    }})
+    assert len(failures) == 1
+    assert "single-run transactions [fast]" in failures[0]
+
+
+def test_baseline_gate_reads_v3_object_rows_and_drops_array_rows(tmp_path):
+    failures = _gate(tmp_path, {"transactions": {
+        "object": {
+            "reference": {"branches_per_second": 20_000.0},
+            "fast": {"branches_per_second": 30_000.0},
+        },
+        "array": {
+            "reference": {"branches_per_second": 1e9},
+            "fast": {"branches_per_second": 1e9},
+        },
+    }})
+    assert failures == []
+
+
+def test_baseline_gate_reads_v1(tmp_path):
+    failures = _gate(tmp_path, {
+        "transactions": {"branches_per_second": 40_000.0},
+    })
+    assert len(failures) == 1
+    assert "single-run transactions [reference]" in failures[0]
+
+
+@pytest.mark.parametrize("single_run", [
+    {"compute-kernel": {"reference": {"branches_per_second": 1.0}}},
+    {"transactions": {"array": {"fast": {"branches_per_second": 1.0}}}},
+    {},
+], ids=["other-workload", "array-rows-only", "empty"])
+def test_baseline_gate_fails_when_no_row_matches(tmp_path, single_run):
+    failures = _gate(tmp_path, single_run)
+    assert len(failures) == 1
+    assert "no single-run row matches" in failures[0]
+
+
+def test_sweep_throughput_payload_is_v4_and_gates_itself(capsys, tmp_path):
+    path = tmp_path / "throughput.json"
+    run_cli(capsys, "sweep", "--configs", "z15", "--workloads",
+            "compute-kernel", "--seeds", "1", "--branches", "300",
+            "--warmup", "0", "--workers", "1", "--json", str(path))
+    payload = json.loads(path.read_text())
+    assert payload["schema"] == "repro-throughput/v4"
+    assert "backend" not in payload
+    for workload in ("compute-kernel", "transactions"):
+        assert set(payload["single_run"][workload]) == {"reference", "fast"}
+    out = run_cli(capsys, "sweep", "--configs", "z15", "--workloads",
+                  "compute-kernel", "--seeds", "1", "--branches", "300",
+                  "--warmup", "0", "--workers", "1", "--baseline",
+                  str(path), "--max-regression", "0.99")
+    assert "single-run compute-kernel [fast]" in out

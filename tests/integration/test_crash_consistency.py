@@ -39,7 +39,7 @@ spool, tear_batch, tear_bytes, checkpoint_every = (
     sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]))
 plan = TenantPlan("t0", workload="transactions", seed=13, branches=120,
                   batch_size=20)
-state = TenantState("t0", "z15", "object", spool,
+state = TenantState("t0", "z15", spool,
                     checkpoint_every=checkpoint_every)
 state.open_fresh()
 for seq, rows in enumerate(plan.batches()):
@@ -111,7 +111,7 @@ def test_stranded_snapshot_temp_never_corrupts_recovery(
     spool = tmp_path_factory.mktemp("spool")
     plan = TenantPlan("t0", **_PLAN_ARGS)
     batches = plan.batches()
-    state = TenantState("t0", "z15", "object", spool, checkpoint_every=2)
+    state = TenantState("t0", "z15", spool, checkpoint_every=2)
     state.open_fresh()
     upto = data.draw(st.integers(min_value=2, max_value=len(batches)))
     for seq in range(upto):
@@ -138,7 +138,7 @@ def test_resume_equals_uninterrupted_without_any_crash(tmp_path):
     lifecycles with clean closes — identical chain, same oracle."""
     plan = TenantPlan("t0", **_PLAN_ARGS)
     batches = plan.batches()
-    state = TenantState("t0", "z15", "object", tmp_path,
+    state = TenantState("t0", "z15", tmp_path,
                         checkpoint_every=3)
     state.open_fresh()
     for seq in range(len(batches) // 2):

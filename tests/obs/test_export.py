@@ -60,13 +60,13 @@ class TestRender:
 
     def test_groups_share_families_split_by_labels(self):
         groups = [
-            ((("backend", "object"),), sample_registry(1)),
-            ((("backend", "array"),), sample_registry(2)),
+            ((("engine_mode", "reference"),), sample_registry(1)),
+            ((("engine_mode", "fast"),), sample_registry(2)),
         ]
         text = to_openmetrics(groups)
         assert text.count("# TYPE btb1_hits counter") == 1
-        assert 'btb1_hits_total{backend="array"} 80' in text
-        assert 'btb1_hits_total{backend="object"} 40' in text
+        assert 'btb1_hits_total{engine_mode="fast"} 80' in text
+        assert 'btb1_hits_total{engine_mode="reference"} 40' in text
 
     def test_accepts_payload_dicts(self):
         payload = sample_registry().to_dict()
@@ -84,9 +84,9 @@ class TestRoundTrip:
 
     def test_grouped_registries_round_trip(self):
         groups = [
-            ((("backend", "object"), ("workload", "transactions")),
+            ((("engine_mode", "reference"), ("workload", "transactions")),
              sample_registry(1)),
-            ((("backend", "array"), ("workload", "transactions")),
+            ((("engine_mode", "fast"), ("workload", "transactions")),
              sample_registry(3)),
         ]
         text = to_openmetrics(groups)
@@ -124,14 +124,13 @@ class TestCanonicalJson:
     def test_groups_export_labelled_list(self):
         import json
 
-        groups = [((("backend", "object"),), sample_registry())]
+        groups = [((("engine_mode", "fast"),), sample_registry())]
         payload = json.loads(to_canonical_json(groups))
-        assert payload["groups"][0]["labels"] == {"backend": "object"}
+        assert payload["groups"][0]["labels"] == {"engine_mode": "fast"}
 
 
 class FakeCell:
-    def __init__(self, backend, engine_mode, workload):
-        self.backend = backend
+    def __init__(self, engine_mode, workload):
         self.engine_mode = engine_mode
         self.workload = workload
 
@@ -142,11 +141,11 @@ class FakeResult:
 
 
 class TestRollup:
-    def test_groups_by_backend_mode_workload_plus_total(self):
+    def test_groups_by_mode_workload_plus_total(self):
         cells = [
-            FakeCell("object", "reference", "transactions"),
-            FakeCell("object", "reference", "transactions"),
-            FakeCell("array", "fast", "dispatch"),
+            FakeCell("reference", "transactions"),
+            FakeCell("reference", "transactions"),
+            FakeCell("fast", "dispatch"),
         ]
         results = [
             FakeResult(sample_registry(1).to_dict()),
@@ -155,19 +154,18 @@ class TestRollup:
         ]
         rollup = rollup_results(cells, results)
         labels = [dict(group_labels) for group_labels, _ in rollup]
-        assert {"backend": "object", "engine_mode": "reference",
+        assert {"engine_mode": "reference",
                 "workload": "transactions"} in labels
         assert {} in labels  # the grand total
         by_labels = {group_labels: telemetry
                      for group_labels, telemetry in rollup}
-        merged = by_labels[(("backend", "object"),
-                            ("engine_mode", "reference"),
+        merged = by_labels[(("engine_mode", "reference"),
                             ("workload", "transactions"))]
         assert merged.counters["btb1.hits"].value == 80
         assert by_labels[()].counters["btb1.hits"].value == 160
 
     def test_cells_without_telemetry_are_skipped(self):
-        cells = [FakeCell("object", "reference", "transactions")]
+        cells = [FakeCell("reference", "transactions")]
         assert rollup_results(cells, [FakeResult(None)]) == []
 
     def test_program_valued_workload_labelled_by_name(self):
@@ -176,7 +174,7 @@ class TestRollup:
         class FakeProgram:
             name = "patterns"
 
-        cells = [FakeCell("object", "reference", FakeProgram())]
+        cells = [FakeCell("reference", FakeProgram())]
         ((labels, _), _total) = rollup_results(
             cells, [FakeResult(sample_registry().to_dict())])
         assert ("workload", "patterns") in labels

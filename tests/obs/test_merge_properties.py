@@ -1,5 +1,5 @@
 """Hypothesis battery for Telemetry.merge: the algebra the rollups rely
-on.  Merging is how per-cell registries become per-(backend, engine-mode,
+on.  Merging is how per-cell registries become per-(engine-mode,
 workload) groups and the fleet grand total, so it must behave like a
 commutative monoid over registries — otherwise the rollup would depend
 on cell completion order, which the pool does not guarantee.

@@ -15,13 +15,13 @@ from repro.obs.observatory import (
     history_row,
     load_history,
     render_dashboard,
+    single_run_rows,
     throughput_metrics,
     trend_deltas,
 )
 
 THROUGHPUT = {
-    "schema": "repro-throughput/v3",
-    "backend": "object",
+    "schema": "repro-throughput/v4",
     "engine_mode": "reference",
     "cpu_count": 4,
     "grid": {"cells": 8},
@@ -33,10 +33,8 @@ THROUGHPUT = {
     "workloads": {},
     "single_run": {
         "transactions": {
-            "object": {
-                "reference": {"branches_per_second": 30_000.0},
-                "fast": {"branches_per_second": 45_000.0},
-            },
+            "reference": {"branches_per_second": 30_000.0},
+            "fast": {"branches_per_second": 45_000.0},
         },
     },
 }
@@ -54,9 +52,9 @@ FLEET = {
     "equivalent": True,
     "failed_cells": 0,
     "rollups": {
-        "by_backend": {
-            "object": {"branches": 800, "branches_per_second": 9_000.0},
-            "array": {"branches": 800, "branches_per_second": 11_000.0},
+        "by_engine_mode": {
+            "reference": {"branches": 800, "branches_per_second": 9_000.0},
+            "fast": {"branches": 800, "branches_per_second": 11_000.0},
         },
         "by_workload": {
             "transactions": {"branches": 1600,
@@ -84,12 +82,31 @@ class TestMetrics:
         metrics = throughput_metrics(THROUGHPUT)
         assert metrics["sweep.sequential.bps"] == 10_000.0
         assert metrics["sweep.speedup"] == 2.0
-        assert metrics["single.transactions.object.fast.bps"] == 45_000.0
+        assert metrics["single.transactions.fast.bps"] == 45_000.0
+
+    def test_single_run_rows_read_every_schema(self):
+        """v4 nests per engine mode; v1-v3 artifacts carry a backend
+        level whose object rows are kept and array rows dropped."""
+        v4 = THROUGHPUT["single_run"]["transactions"]
+        v3 = {"object": v4, "array": {
+            "reference": {"branches_per_second": 1.0},
+            "fast": {"branches_per_second": 2.0}}}
+        v2 = {"object": v4["reference"], "array": v4["fast"]}
+        v1 = v4["reference"]
+        expected = {("transactions", "reference", 30_000.0),
+                    ("transactions", "fast", 45_000.0)}
+        assert set(single_run_rows(THROUGHPUT)) == expected
+        assert set(single_run_rows(
+            {"single_run": {"transactions": v3}})) == expected
+        assert single_run_rows({"single_run": {"transactions": v2}}) == [
+            ("transactions", "reference", 30_000.0)]
+        assert single_run_rows({"single_run": {"transactions": v1}}) == [
+            ("transactions", "reference", 30_000.0)]
 
     def test_fleet_metrics_flatten_rollups(self):
         metrics = fleet_metrics(FLEET)
         assert metrics["fleet.parallel.bps"] == 16_000.0
-        assert metrics["fleet.backend.array.bps"] == 11_000.0
+        assert metrics["fleet.engine_mode.fast.bps"] == 11_000.0
         assert metrics["fleet.workload.transactions.bps"] == 10_000.0
 
 
@@ -208,6 +225,14 @@ class TestDashboard:
         text = render_dashboard(self.build_artifacts(tmp_path, regress=True))
         assert "Regressions" in text
         assert "-50.0%" in text
+
+    def test_history_alone_renders_its_trend(self, tmp_path):
+        self.build_artifacts(tmp_path)
+        (tmp_path / "BENCH_throughput.json").unlink()
+        text = render_dashboard(collect_artifacts([str(tmp_path)]))
+        assert "## Throughput" in text
+        assert "Trend vs previous run" in text
+        assert "single.transactions.fast.bps" in text
 
     def test_empty_artifact_set_renders(self):
         text = render_dashboard({})

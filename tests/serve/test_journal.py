@@ -17,7 +17,7 @@ from repro.serve.journal import (
 def _writer(tmp_path, tenant="t0"):
     paths = TenantPaths(tmp_path, tenant).ensure()
     return paths, JournalWriter(paths.journal,
-                                journal_header(tenant, "z15", "object"))
+                                journal_header(tenant, "z15"))
 
 
 def test_journal_roundtrip(tmp_path):
@@ -39,7 +39,7 @@ def test_reopen_appends_without_second_header(tmp_path):
     writer.append({"type": "batch", "seq": 0, "branches": []})
     writer.close()
     again = JournalWriter(paths.journal,
-                          journal_header("t0", "z15", "object"))
+                          journal_header("t0", "z15"))
     again.append({"type": "batch", "seq": 1, "branches": []})
     again.close()
     header, events = load_journal(paths.journal)
@@ -127,3 +127,8 @@ def test_tenant_paths_layout(tmp_path):
     assert paths.directory == tmp_path / "tenants" / "tenant-7"
     assert paths.journal.parent == paths.directory
     assert paths.snapshot.parent == paths.directory
+
+
+def test_journal_header_ignores_a_legacy_backend_argument():
+    assert journal_header("t0", "z15", "object") == journal_header("t0", "z15")
+    assert "backend" not in journal_header("t0", "z15")

@@ -18,6 +18,7 @@ from repro.serve.client import (
     TenantPlan,
     reference_fingerprint,
 )
+from repro.serve.journal import TenantPaths
 from repro.serve.server import PredictorServer, ServeOptions
 
 
@@ -94,6 +95,32 @@ def test_unknown_tenant_and_bad_sequence_reject_cleanly(tmp_path):
     assert stale["code"] == protocol.REJECT_BAD_SEQ
     assert bogus["status"] == "error"
     assert accounted
+
+
+def test_open_naming_a_foreign_backend_is_rejected_before_the_spool(
+        tmp_path):
+    """Only the one predictor implementation may be named.  A rejected
+    open must leave no spool behind, so the tenant name stays usable;
+    older clients that send ``"object"`` keep working."""
+    tenant_dir = TenantPaths(tmp_path / "spool", "t1").directory
+
+    async def body(server, client):
+        foreign = await client.call("open", tenant="t1", config="z15",
+                                    backend="array")
+        left_spool = tenant_dir.exists()
+        plain = await client.open("t1")
+        legacy = await client.call("open", tenant="t2", config="z15",
+                                   backend="object")
+        return foreign, left_spool, plain, legacy
+
+    foreign, left_spool, plain, legacy = _run(
+        _with_server(tmp_path, _options(), body))
+    assert foreign["status"] == "error"
+    assert "invalid backend 'array'" in foreign["detail"]
+    assert not left_spool
+    assert plain["status"] == "ok"
+    assert not plain["recovered"]
+    assert legacy["status"] == "ok"
 
 
 def test_shard_kill_recovers_from_journal_exactly(tmp_path):

@@ -25,7 +25,7 @@ def _serve_all(state, batches, start=0):
 
 
 def test_live_stream_matches_uninterrupted_oracle(tmp_path):
-    state = TenantState("t0", "z15", "object", tmp_path)
+    state = TenantState("t0", "z15", tmp_path)
     state.open_fresh()
     last = _serve_all(state, PLAN.batches())
     oracle = reference_fingerprint(PLAN)
@@ -35,7 +35,7 @@ def test_live_stream_matches_uninterrupted_oracle(tmp_path):
 
 
 def test_retry_of_last_batch_is_cached_and_identical(tmp_path):
-    state = TenantState("t0", "z15", "object", tmp_path)
+    state = TenantState("t0", "z15", tmp_path)
     state.open_fresh()
     batches = PLAN.batches()
     first = state.predict(0, batches[0])
@@ -50,7 +50,7 @@ def test_retry_of_last_batch_is_cached_and_identical(tmp_path):
 
 
 def test_out_of_window_sequence_is_rejected(tmp_path):
-    state = TenantState("t0", "z15", "object", tmp_path)
+    state = TenantState("t0", "z15", tmp_path)
     state.open_fresh()
     batches = PLAN.batches()
     state.predict(0, batches[0])
@@ -66,7 +66,7 @@ def test_out_of_window_sequence_is_rejected(tmp_path):
 def test_recover_after_clean_close_resumes_exactly(tmp_path):
     batches = PLAN.batches()
     half = len(batches) // 2
-    state = TenantState("t0", "z15", "object", tmp_path)
+    state = TenantState("t0", "z15", tmp_path)
     state.open_fresh()
     for seq in range(half):
         state.predict(seq, batches[seq])
@@ -84,7 +84,7 @@ def test_recover_after_clean_close_resumes_exactly(tmp_path):
 
 def test_recover_from_journal_only_no_snapshot(tmp_path):
     batches = PLAN.batches()
-    state = TenantState("t0", "z15", "object", tmp_path)  # no checkpointing
+    state = TenantState("t0", "z15", tmp_path)  # no checkpointing
     state.open_fresh()
     for seq in range(2):
         state.predict(seq, batches[seq])
@@ -99,7 +99,7 @@ def test_recover_from_journal_only_no_snapshot(tmp_path):
 
 def test_recover_with_torn_journal_tail_replays_prefix(tmp_path):
     batches = PLAN.batches()
-    state = TenantState("t0", "z15", "object", tmp_path)
+    state = TenantState("t0", "z15", tmp_path)
     state.open_fresh()
     for seq in range(3):
         state.predict(seq, batches[seq])
@@ -120,7 +120,7 @@ def test_evict_restore_chain_is_replayable(tmp_path):
     still exact: offline replay of the journal reproduces it bit for
     bit, evictions included."""
     batches = PLAN.batches()
-    state = TenantState("t0", "z15", "object", tmp_path)
+    state = TenantState("t0", "z15", tmp_path)
     state.open_fresh()
     state.predict(0, batches[0])
     assert state.evict()
@@ -144,7 +144,7 @@ def test_checkpoint_rotation_bounds_replay(tmp_path):
     from repro.serve.journal import load_journal
 
     batches = PLAN.batches()
-    state = TenantState("t0", "z15", "object", tmp_path, checkpoint_every=2)
+    state = TenantState("t0", "z15", tmp_path, checkpoint_every=2)
     state.open_fresh()
     for seq in range(len(batches)):
         state.predict(seq, batches[seq])
@@ -162,3 +162,35 @@ def test_checkpoint_rotation_bounds_replay(tmp_path):
 def test_recover_unknown_tenant_raises(tmp_path):
     with pytest.raises(JournalError, match="nothing to recover"):
         TenantState.recover("ghost", tmp_path)
+
+
+def test_recover_reads_spools_that_carry_a_backend_field(tmp_path):
+    """Journal headers and snapshots written before the predictor
+    backend was retired carry ``"backend": "object"``; recovery must
+    read them and serve on exactly."""
+    import json
+
+    from repro.serve.journal import write_snapshot
+
+    batches = PLAN.batches()
+    state = TenantState("t0", "z15", tmp_path)
+    state.open_fresh()
+    for seq in range(2):
+        state.predict(seq, batches[seq])
+    state.close()
+    lines = state.paths.journal.read_text().splitlines()
+    header = dict(json.loads(lines[0]), backend="object")
+    state.paths.journal.write_text(
+        "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    write_snapshot(state.paths.snapshot, {
+        "tenant": "t0", "config": "z15", "backend": "object",
+        "seq": state.next_seq, "fingerprint": state.fingerprint,
+        "predictor": state.predictor, "stats": state.stats,
+        "needs_restart": state.needs_restart,
+        "last_response": state.last_response,
+    })
+
+    recovered = TenantState.recover("t0", tmp_path)
+    last = _serve_all(recovered, batches, start=2)
+    assert last["fingerprint"] == reference_fingerprint(PLAN)["fingerprint"]
+    recovered.close()

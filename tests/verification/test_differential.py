@@ -284,31 +284,26 @@ def test_run_differential_suite_clean_and_summarised():
     )
     assert result.clean
     assert result.divergence_count == 0
-    # Per workload: cross-engine x (2 backends x 2 modes) + cross-mode
-    # x 2 backends + cross-backend x 2 modes = 24, then replay x
-    # (2 backends x 2 modes), 2 self round-trips and 2 cross-restores.
-    assert len(result.reports) == 32
+    # Per workload: cross-engine x 2 modes + cross-mode = 9, then
+    # replay x 2 modes and one state round-trip.
+    assert len(result.reports) == 12
     summary = result.summary()
     assert "verdict: CLEAN" in summary
-    assert summary.count("[CLEAN]") == 32
-    assert "[array backend]" in summary
-    assert "cross-backend" in summary
+    assert summary.count("[CLEAN]") == 12
     assert "cross-mode" in summary
     assert "[fast mode]" in summary
 
 
-def test_run_differential_suite_single_backend_shape():
-    # The pre-array report structure is still reachable explicitly.
+def test_run_differential_suite_reference_mode_shape():
+    # The pre-fast-mode report structure is still reachable explicitly.
     result = run_differential_suite(
         seed=DEFAULT_TEST_SEED, branches=600,
         workloads=("compute-kernel", "services", "dispatch"),
-        backends=("object",),
         engine_modes=("reference",),
     )
     assert result.clean
     # 3 cross-engine + replay + state round-trip.
     assert len(result.reports) == 5
-    assert "cross-backend" not in result.summary()
     assert "cross-mode" not in result.summary()
 
 
