@@ -10,6 +10,14 @@ prefetching that hides miss latency (sections II.C, IV).
 
 It is a cycle-*level* model, not RTL-exact: the out-of-order back end is
 summarised by the paper's own statistical penalties.
+
+Both drives (``run_program`` and ``run_smt2``) run the functional
+engine's shared loop from :mod:`repro.engine.kernel` over an outcome
+iterator — the compiled ``outcomes`` generator in ``fast`` mode,
+``predict_and_resolve`` in ``reference`` mode — with the per-branch
+timing advance as the loop's last consumer.  Timing reads everything
+it needs from the outcome's prediction record and the thread's
+executor, so no drive steps instructions one at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +28,11 @@ from typing import Dict, Optional
 
 from repro.configs.timing import TimingConfig
 from repro.core.predictor import LookaheadBranchPredictor, PredictionOutcome
-from repro.engine.kernel import _chain_observers, predict_one
+from repro.engine.kernel import (
+    _chain_observers,
+    drive_counted,
+    outcome_iterator,
+)
 from repro.engine.specialize import effective_engine_mode, kernels_for
 from repro.frontend.icache import InstructionCacheHierarchy
 from repro.stats.metrics import MispredictClass, RunStats, classify
@@ -129,9 +141,9 @@ class CycleEngine:
         self.observer = _chain_observers(observer, telemetry, injector)
         self.stats = CycleStats()
         #: Timing needs every per-branch outcome, so ``fast`` here swaps
-        #: the reference ``predict_and_resolve`` pyramid for the flat
-        #: single-branch specialized kernel (same outcome objects, same
-        #: state transitions, fewer Python frames per branch).
+        #: the reference ``predict_and_resolve`` pyramid for the compiled
+        #: ``outcomes`` generator (same outcome objects, same state
+        #: transitions, fewer Python frames per branch).
         self.engine_mode = effective_engine_mode(engine_mode, predictor)
         self._kernels = (
             kernels_for(predictor) if self.engine_mode == "fast" else None
@@ -172,21 +184,10 @@ class CycleEngine:
         self.predictor.restart(program.entry_point, context=0)
         clocks = self._clocks_for(0)
         clocks.fetch_point = program.entry_point
-        instructions_before = 0
-        predict = self._predict_callable()
-        observer = self.observer
-        record = self.stats.accuracy.record
         spans = self.spans
         if spans:
             phase_start = time.perf_counter()
-        while executor.branches_executed < max_branches:
-            branch = executor.step()
-            if branch is None:
-                continue
-            gap = executor.instructions_executed - instructions_before - 1
-            instructions_before = executor.instructions_executed
-            outcome = predict_one(predict, branch, observer, record)
-            self._advance(clocks, branch, outcome, gap)
+        self._drive(executor.run(max_branches=max_branches), [executor])
         if spans:
             spans.observe("engine.counted",
                           time.perf_counter() - phase_start,
@@ -216,24 +217,22 @@ class CycleEngine:
         from repro.workloads.multi import ContextSwitch, Smt2Run
 
         run = Smt2Run(program_a, program_b, seed=seed)
-        instructions_before = {0: 0, 1: 0}
-        predict = self._predict_callable()
-        observer = self.observer
-        record = self.stats.accuracy.record
-        for event in run.run(max_branches):
-            if isinstance(event, ContextSwitch):
-                self.predictor.restart(event.entry_point,
-                                       context=event.context,
-                                       thread=event.thread)
-                self._clocks_for(event.thread).fetch_point = event.entry_point
-                continue
-            thread = event.thread
-            executor = run._executors[thread]
-            gap = (executor.instructions_executed
-                   - instructions_before[thread] - 1)
-            instructions_before[thread] = executor.instructions_executed
-            outcome = predict_one(predict, event, observer, record)
-            self._advance(self._clocks_for(thread), event, outcome, max(0, gap))
+
+        def branches():
+            # Each thread's start marker is a full restart (not a
+            # context switch) that also points its fetch at the entry.
+            for event in run.run(max_branches):
+                if isinstance(event, ContextSwitch):
+                    self.predictor.restart(event.entry_point,
+                                           context=event.context,
+                                           thread=event.thread)
+                    self._clocks_for(event.thread).fetch_point = (
+                        event.entry_point
+                    )
+                    continue
+                yield event
+
+        self._drive(branches(), run._executors)
         self.predictor.finalize()
         self.stats.instructions = run.instructions_executed
         self.stats.branches = max_branches
@@ -243,17 +242,30 @@ class CycleEngine:
             self.stats.cache_levels[name] = {"accesses": accesses, "hits": hits}
         return self.stats
 
-    def _predict_callable(self):
-        """The per-branch predict entry point for the selected mode."""
-        if self._kernels is None:
-            return self.predictor.predict_and_resolve
-        kernel = self._kernels.predict_flat
-        predictor = self.predictor
+    def _drive(self, stream, executors) -> None:
+        """Time every branch of *stream* through the shared counted loop.
 
-        def predict(branch, _kernel=kernel, _predictor=predictor):
-            return _kernel(_predictor, branch)
+        Each outcome is observed and recorded, then advances its
+        thread's clocks.  The branch's gap (the non-branch instructions
+        before it) is read from that thread's executor as the outcome
+        arrives: the outcome iterator pulls one branch per outcome, so
+        nothing has executed since.
+        """
+        before = [0] * len(executors)
 
-        return predict
+        def time_branch(outcome):
+            thread = outcome.record.thread
+            executed = executors[thread].instructions_executed
+            gap = executed - before[thread] - 1
+            before[thread] = executed
+            self._advance(self._clocks_for(thread), outcome, max(0, gap))
+
+        drive_counted(
+            outcome_iterator(self.predictor, self._kernels, stream),
+            self.stats.accuracy.record,
+            observer=self.observer,
+            extra=time_branch,
+        )
 
     def _clocks_for(self, thread: int) -> _Clocks:
         clocks = self._clocks.get(thread)
@@ -266,10 +278,11 @@ class CycleEngine:
     # Per-branch timing
     # ------------------------------------------------------------------
 
-    def _advance(self, clocks: _Clocks, branch, outcome: PredictionOutcome,
+    def _advance(self, clocks: _Clocks, outcome: PredictionOutcome,
                  gap: int) -> None:
         """Advance one thread's clocks across one branch (plus its
-        leading non-branch instructions)."""
+        leading non-branch instructions); the branch's address, length
+        and resolution come from its prediction record."""
         timing = self.timing
         trace = outcome.trace
         record = outcome.record
@@ -290,7 +303,7 @@ class CycleEngine:
             clocks.bpl_ready = b0_time + self._search_interval
 
         # --- Fetch side: deliver bytes up to the end of the branch. ---
-        fetch_end = branch.instruction.end_address
+        fetch_end = record.address + record.length
         self._fetch_lines(clocks, clocks.fetch_point, fetch_end, b0_time)
         if fetch_end > clocks.fetch_point:
             clocks.fetch_clock += (
@@ -317,24 +330,27 @@ class CycleEngine:
         # --- Resolution ---
         klass = classify(outcome)
         if klass is MispredictClass.NONE:
-            if branch.taken:
+            if record.actual_taken:
                 # Correct taken prediction: fetch redirects to the target;
                 # the redirect is free when the BPL ran ahead.
                 clocks.fetch_clock = max(clocks.fetch_clock, delivered)
-                clocks.fetch_point = branch.target
+                clocks.fetch_point = record.actual_target
             return
+        # Where control actually went: the target if taken, else NSIA.
+        next_address = (record.actual_target if record.actual_taken
+                        else fetch_end)
         if klass is MispredictClass.SURPRISE_GUESSED_TAKEN_RELATIVE:
             self._apply_restart(clocks, timing.decode_restart_penalty,
-                                branch.next_address)
+                                next_address)
         elif klass is MispredictClass.SURPRISE_GUESSED_TAKEN_INDIRECT:
             self._apply_restart(
                 clocks,
                 timing.decode_restart_penalty + timing.indirect_resolution_delay,
-                branch.next_address,
+                next_address,
             )
         else:
             self._apply_restart(
-                clocks, timing.statistical_restart_penalty, branch.next_address
+                clocks, timing.statistical_restart_penalty, next_address
             )
 
     def _fetch_lines(self, clocks: _Clocks, start: int, end: int,

@@ -7,9 +7,14 @@ This engine measures *accuracy* (coverage, direction/target
 correctness, MPKI); the cycle engine in :mod:`repro.engine.cycle`
 measures time.
 
-The per-branch consume sequence lives in :mod:`repro.engine.kernel`,
-shared with the cycle engine, so both engines run one semantics
-definition.
+Every run method has two paths.  In ``fast`` mode with no observer,
+telemetry, injector or profile attached, the allocation-free compiled
+``counted``/``warmup`` kernels pull the branch stream directly.
+Everything else — both modes, any attachment — runs the shared loop of
+:mod:`repro.engine.kernel` over an outcome iterator (the compiled
+``outcomes`` generator, or ``reference_outcomes`` over
+``predict_and_resolve``), the same loop the cycle engine drives, so
+both engines run one semantics definition.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import time
 from itertools import chain
 from typing import Iterable, Optional, Union
 
-from repro.core.predictor import LookaheadBranchPredictor, PredictionOutcome
+from repro.core.predictor import LookaheadBranchPredictor
 from repro.engine.kernel import (
     INSTRUCTIONS_PER_BRANCH,
     _chain_observers,
     drive_counted,
+    outcome_iterator,
     run_warmup,
 )
 from repro.engine.specialize import effective_engine_mode, kernels_for
@@ -81,10 +87,47 @@ class FunctionalEngine:
             kernels_for(predictor) if self.engine_mode == "fast" else None
         )
 
-    def _record(self, outcome) -> None:
-        self.stats.record(outcome)
-        if self.profile is not None:
-            self.profile.record(outcome)
+    def _bare(self) -> bool:
+        """Fast mode with nothing attached: the allocation-free
+        ``counted``/``warmup`` kernels run and no outcome is built."""
+        return (self._kernels is not None and self.observer is None
+                and self.profile is None)
+
+    def _source(self, stream):
+        """What the drive methods consume: *stream* itself on the bare
+        path, else this mode's outcome iterator over it."""
+        if self._bare():
+            return stream
+        return outcome_iterator(self.predictor, self._kernels, stream)
+
+    def _warmup(self, source, warmup_branches: int) -> int:
+        if self._bare():
+            return self._kernels.warmup(self.predictor, source,
+                                        warmup_branches)
+        return run_warmup(source, warmup_branches, self.observer)
+
+    def _counted(self, source) -> int:
+        if self._bare():
+            return self._kernels.counted(self.predictor, source, self.stats)
+        profile = self.profile
+        return drive_counted(
+            source,
+            self.stats.record,
+            observer=self.observer,
+            extra=profile.record if profile is not None else None,
+        )
+
+    def _finish(self, count: int, instructions: Optional[int]) -> RunStats:
+        """Finalize a branch- or event-stream run of *count* branches."""
+        self.predictor.finalize()
+        if instructions is not None:
+            self.stats.instructions = instructions
+        else:
+            # Without real instruction counts, approximate with the
+            # paper's branch density and flag the derived MPKI.
+            self.stats.instructions = count * INSTRUCTIONS_PER_BRANCH
+            self.stats.instructions_approximate = True
+        return self.stats
 
     def run_program(
         self,
@@ -97,78 +140,32 @@ class FunctionalEngine:
 
         With *warmup_branches* the first that many branches train the
         predictor without being counted (steady-state measurement).
+        Warmup and counted phases consume one stream, so the counted
+        phase starts exactly where warmup stopped.
         """
         executor = Executor(program, seed=seed)
         self.predictor.restart(program.entry_point, context=0)
-        observer = self.observer
-        profile = self.profile
         spans = self.spans
         counted_instructions_start = 0
         stream = executor.run(max_branches=warmup_branches + max_branches)
-        kernels = self._kernels
-        if kernels is not None:
-            predictor = self.predictor
-            if warmup_branches > 0:
-                if spans:
-                    phase_start = time.perf_counter()
-                if observer is None:
-                    consumed = kernels.warmup_bare(
-                        predictor, stream, warmup_branches
-                    )
-                else:
-                    consumed = kernels.warmup_observed(
-                        predictor, stream, warmup_branches, observer
-                    )
-                if spans:
-                    spans.observe("engine.warmup",
-                                  time.perf_counter() - phase_start,
-                                  branches=warmup_branches)
-                if consumed == warmup_branches:
-                    counted_instructions_start = executor.instructions_executed
+        source = self._source(stream)
+        if warmup_branches > 0:
             if spans:
                 phase_start = time.perf_counter()
-            if observer is None and profile is None:
-                kernels.counted_bare(predictor, stream, self.stats)
-            else:
-                kernels.counted_observed(
-                    predictor,
-                    stream,
-                    self.stats,
-                    observer,
-                    profile.record if profile is not None else None,
-                )
+            consumed = self._warmup(source, warmup_branches)
             if spans:
-                spans.observe("engine.counted",
+                spans.observe("engine.warmup",
                               time.perf_counter() - phase_start,
-                              branches=max_branches)
-        else:
-            predict = self.predictor.predict_and_resolve
-            if warmup_branches > 0:
-                if spans:
-                    phase_start = time.perf_counter()
-                consumed = run_warmup(
-                    predict, stream, warmup_branches, observer
-                )
-                if spans:
-                    spans.observe("engine.warmup",
-                                  time.perf_counter() - phase_start,
-                                  branches=warmup_branches)
-                if consumed == warmup_branches:
-                    counted_instructions_start = executor.instructions_executed
-            if spans:
-                phase_start = time.perf_counter()
-            drive_counted(
-                predict,
-                stream,
-                self.stats.record,
-                observer=observer,
-                extra=profile.record if profile is not None else None,
-            )
-            if spans:
-                spans.observe("engine.counted",
-                              time.perf_counter() - phase_start,
-                              branches=max_branches)
+                              branches=warmup_branches)
+            if consumed == warmup_branches:
+                counted_instructions_start = executor.instructions_executed
         if spans:
+            phase_start = time.perf_counter()
+        self._counted(source)
+        if spans:
+            spans.observe("engine.counted",
+                          time.perf_counter() - phase_start,
+                          branches=max_branches)
             with spans.span("engine.finalize"):
                 self.predictor.finalize()
         else:
@@ -185,63 +182,14 @@ class FunctionalEngine:
         restart_at: Optional[int] = None,
     ) -> RunStats:
         """Predict a pre-recorded branch stream (e.g. a loaded trace)."""
-        observer = self.observer
-        profile = self.profile
-        kernels = self._kernels
-        if kernels is not None:
-            count = 0
-            iterator = iter(branches)
-            head = next(iterator, None)
-            if head is not None:
-                start = restart_at if restart_at is not None else head.address
-                self.predictor.restart(start, context=head.context)
-                stream = chain((head,), iterator)
-                if observer is None and profile is None:
-                    count = kernels.counted_bare(
-                        self.predictor, stream, self.stats
-                    )
-                else:
-                    count = kernels.counted_observed(
-                        self.predictor,
-                        stream,
-                        self.stats,
-                        observer,
-                        profile.record if profile is not None else None,
-                    )
-            self.predictor.finalize()
-            if instructions is not None:
-                self.stats.instructions = instructions
-            else:
-                self.stats.instructions = count * INSTRUCTIONS_PER_BRANCH
-                self.stats.instructions_approximate = True
-            return self.stats
-        predict = self.predictor.predict_and_resolve
-        record = self.stats.record
-        fast = observer is None and profile is None
-        first = True
         count = 0
-        for branch in branches:
-            if first:
-                start = restart_at if restart_at is not None else branch.address
-                self.predictor.restart(start, context=branch.context)
-                first = False
-            outcome = predict(branch)
-            if fast:
-                record(outcome)
-            else:
-                if observer is not None:
-                    observer(outcome)
-                self._record(outcome)
-            count += 1
-        self.predictor.finalize()
-        if instructions is not None:
-            self.stats.instructions = instructions
-        else:
-            # Without real instruction counts, approximate with the
-            # paper's branch density and flag the derived MPKI.
-            self.stats.instructions = count * INSTRUCTIONS_PER_BRANCH
-            self.stats.instructions_approximate = True
-        return self.stats
+        iterator = iter(branches)
+        head = next(iterator, None)
+        if head is not None:
+            start = restart_at if restart_at is not None else head.address
+            self.predictor.restart(start, context=head.context)
+            count = self._counted(self._source(chain((head,), iterator)))
+        return self._finish(count, instructions)
 
     def run_events(
         self,
@@ -249,52 +197,8 @@ class FunctionalEngine:
         instructions: Optional[int] = None,
     ) -> RunStats:
         """Drive an interleaved multi-context event stream."""
-        observer = self.observer
-        profile = self.profile
-        kernels = self._kernels
-        if kernels is not None:
-            if observer is None and profile is None:
-                count = kernels.events_bare(self.predictor, events, self.stats)
-            else:
-                count = kernels.events_observed(
-                    self.predictor,
-                    events,
-                    self.stats,
-                    observer,
-                    profile.record if profile is not None else None,
-                )
-            self.predictor.finalize()
-            if instructions is not None:
-                self.stats.instructions = instructions
-            else:
-                self.stats.instructions = count * INSTRUCTIONS_PER_BRANCH
-                self.stats.instructions_approximate = True
-            return self.stats
-        predict = self.predictor.predict_and_resolve
-        record = self.stats.record
-        fast = observer is None and profile is None
-        count = 0
-        for event in events:
-            if isinstance(event, ContextSwitch):
-                self.predictor.context_switch(
-                    event.entry_point, event.context, event.thread
-                )
-                continue
-            outcome = predict(event)
-            if fast:
-                record(outcome)
-            else:
-                if observer is not None:
-                    observer(outcome)
-                self._record(outcome)
-            count += 1
-        self.predictor.finalize()
-        if instructions is not None:
-            self.stats.instructions = instructions
-        else:
-            self.stats.instructions = count * INSTRUCTIONS_PER_BRANCH
-            self.stats.instructions_approximate = True
-        return self.stats
+        count = self._counted(self._source(events))
+        return self._finish(count, instructions)
 
     def run_interleaved(
         self, run: InterleavedRun, total_branches: int

@@ -1,11 +1,14 @@
-"""The shared prediction kernel every engine drives.
+"""The shared drive loop every engine runs.
 
-The functional engine and the cycle engine both drive the same
-per-branch protocol: ``predict_and_resolve`` on a predictor,
-an optional observer chain (explicit observer, telemetry session, fault
-injector), then stats recording.  This module is the single home of
-that semantics definition — the engines differ only in *what else* they
-do around each branch (nothing or timing), never in how a branch flows
+Both engines consume an *outcome iterator*: one
+:class:`~repro.core.predictor.PredictionOutcome` per executed branch,
+produced either by :func:`reference_outcomes` (the predictor's own
+``predict_and_resolve``) or by the compiled ``outcomes`` generator of
+:mod:`repro.engine.specialize`.  Each outcome goes to an optional
+observer chain (explicit observer, telemetry session, fault injector),
+then to stats recording.  This module is the single home of that
+consume sequence — the engines differ only in *what else* they do
+around each outcome (nothing or timing), never in how a branch flows
 through the predictor.
 
 Keeping the consume sequence here means a divergence between engines
@@ -15,6 +18,8 @@ built to localise.
 """
 
 from __future__ import annotations
+
+from repro.workloads.multi import ContextSwitch
 
 #: Instructions assumed per executed branch when a branch stream carries
 #: no real instruction counts: the classic ~1-branch-in-4 dynamic
@@ -52,32 +57,40 @@ def _chain_observers(observer, telemetry, injector=None):
     return chained
 
 
-def predict_one(predict, branch, observer, record):
-    """Drive one branch through the shared consume sequence.
+def reference_outcomes(predictor, stream):
+    """The reference outcome iterator: ``predict_and_resolve`` for each
+    branch of *stream*; ``ContextSwitch`` items go through
+    ``context_switch`` and yield nothing.  Pulls one item per outcome,
+    so a consumer that stops early leaves the rest of *stream* unread."""
+    predict = predictor.predict_and_resolve
+    for item in stream:
+        if isinstance(item, ContextSwitch):
+            predictor.context_switch(item.entry_point, item.context,
+                                     item.thread)
+            continue
+        yield predict(item)
 
-    ``predict`` -> observer (when attached) -> ``record``; returns the
-    outcome for engines that do per-branch work of their own (the cycle
-    engine's timing advance).  The order is part of the cross-engine
-    contract: observers see the outcome before stats accumulate it.
-    """
-    outcome = predict(branch)
-    if observer is not None:
-        observer(outcome)
-    record(outcome)
-    return outcome
+
+def outcome_iterator(predictor, kernels, stream):
+    """*stream*'s outcomes in the engine's mode: the compiled
+    ``outcomes`` generator when *kernels* is set (``fast``), else
+    :func:`reference_outcomes`."""
+    if kernels is not None:
+        return kernels.outcomes(predictor, stream)
+    return reference_outcomes(predictor, stream)
 
 
-def run_warmup(predict, stream, warmup_branches, observer):
-    """Drive the uncounted warmup prefix of *stream*.
+def run_warmup(outcomes, warmup_branches, observer):
+    """Drive the uncounted warmup prefix of *outcomes*.
 
     Warmup branches train the predictor and are shown to observers (the
     differential harness compares them too) but are never recorded into
-    stats.  Returns the number of branches consumed, which is less than
-    *warmup_branches* only when the stream ran dry.
+    stats.  Returns the number of outcomes consumed, which is less than
+    *warmup_branches* only when the stream ran dry; the iterator is left
+    positioned on the first counted branch.
     """
     consumed = 0
-    for branch in stream:
-        outcome = predict(branch)
+    for outcome in outcomes:
         if observer is not None:
             observer(outcome)
         consumed += 1
@@ -86,31 +99,26 @@ def run_warmup(predict, stream, warmup_branches, observer):
     return consumed
 
 
-def drive_counted(predict, stream, record, observer=None, extra=None):
-    """The counted per-branch loop, specialised on attached consumers.
+def drive_counted(outcomes, record, observer=None, extra=None):
+    """The counted loop: observer (when attached) -> *record* -> *extra*
+    for each outcome; returns the number of outcomes consumed.
 
     *record* is the stats sink (``RunStats.record``); *extra* an
-    optional second recorder (a mispredict profile).  The loop body is
-    the same consume sequence as :func:`predict_one`, unrolled into
-    per-combination loops so the common no-consumer case carries no
-    invariant is-None checks per branch.
+    optional second recorder (a mispredict profile).  The order is part
+    of the cross-engine contract: observers see the outcome before
+    stats accumulate it.
     """
+    count = 0
     if observer is None and extra is None:
-        for branch in stream:
-            record(predict(branch))
-    elif observer is None:
-        for branch in stream:
-            outcome = predict(branch)
+        for outcome in outcomes:
             record(outcome)
-            extra(outcome)
-    elif extra is None:
-        for branch in stream:
-            outcome = predict(branch)
+            count += 1
+        return count
+    for outcome in outcomes:
+        if observer is not None:
             observer(outcome)
-            record(outcome)
-    else:
-        for branch in stream:
-            outcome = predict(branch)
-            observer(outcome)
-            record(outcome)
+        record(outcome)
+        if extra is not None:
             extra(outcome)
+        count += 1
+    return count

@@ -30,22 +30,25 @@ streams, stats and state round-trips.  See ``docs/INTERNALS.md`` §14
 for the specialization contract — what may be specialized away and
 what must stay observable.
 
-Observability contract of the generated kernels:
+Observability contract of the three generated kernels:
 
-* **Bare kernels** (no observer, telemetry, injector or profile
-  attached) accumulate the predictor counters (``predictions``,
-  ``dynamic_predictions``, ``surprise_branches``, ``restarts``) and
-  all ``RunStats`` integers in locals, flushed in a ``finally`` so
-  exceptions and early exits leave exactly the state the reference
-  path would have left.
-* **Observed kernels** construct the same ``PredictionOutcome``
-  objects as the reference path and keep every predictor counter an
-  attribute update, because telemetry samplers harvest
-  ``component_counters()`` mid-run through the observer seam.
-* ``_staging_drain_countdown`` is carried in a local in both flavours
-  (no observer reads it) and written back to the predictor after every
-  branch (observed) or in ``finally`` (bare), so checkpoints taken at
-  any engine boundary are byte-identical.
+* **``counted`` and ``warmup``** (fast mode with no observer,
+  telemetry, injector or profile attached) accumulate the predictor
+  counters (``predictions``, ``dynamic_predictions``,
+  ``surprise_branches``, ``restarts``), ``_staging_drain_countdown``
+  and, in ``counted``, every ``RunStats`` integer in locals, flushed in
+  a ``finally`` so exceptions and early exits leave exactly the state
+  the reference path would have left.
+* **``outcomes``** is a generator yielding the same
+  ``PredictionOutcome`` objects as the reference path, one per branch,
+  pulling exactly one input item per outcome.  Code outside it runs
+  at every yield — observers, the telemetry sampler harvesting
+  ``component_counters()``, the fault injector mutating tables, the
+  cycle engine restarting SMT2 threads — so every predictor counter is
+  an attribute update, and ``_staging_drain_countdown`` is re-read
+  after each resume and written back before each yield.
+* All three apply ``ContextSwitch`` items inline through
+  ``P.context_switch`` and produce nothing for them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import linecache
 import textwrap
 import threading
 from string import Template
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.configs.predictor import PredictorConfig
 from repro.core.cpred import (
@@ -124,28 +127,14 @@ def config_shape(config: PredictorConfig) -> Tuple:
 class SpecializedKernels:
     """The compiled drive loops for one config shape."""
 
-    __slots__ = (
-        "shape",
-        "source",
-        "counted_bare",
-        "counted_observed",
-        "warmup_bare",
-        "warmup_observed",
-        "events_bare",
-        "events_observed",
-        "predict_flat",
-    )
+    __slots__ = ("shape", "source", "counted", "warmup", "outcomes")
 
     def __init__(self, shape: Tuple, source: str, namespace: Dict):
         self.shape = shape
         self.source = source
-        self.counted_bare = namespace["counted_bare"]
-        self.counted_observed = namespace["counted_observed"]
-        self.warmup_bare = namespace["warmup_bare"]
-        self.warmup_observed = namespace["warmup_observed"]
-        self.events_bare = namespace["events_bare"]
-        self.events_observed = namespace["events_observed"]
-        self.predict_flat = namespace["predict_flat"]
+        self.counted = namespace["counted"]
+        self.warmup = namespace["warmup"]
+        self.outcomes = namespace["outcomes"]
 
 
 _CACHE: Dict[Tuple, SpecializedKernels] = {}
@@ -221,11 +210,9 @@ def _render(template: str, flags: Dict[str, bool], subs: Dict[str, str]) -> str:
 # order; the differential battery holds this line by line.
 
 _CORE = """\
-#IF EVENTS
 if isinstance(branch, ContextSwitch):
     P.context_switch(branch.entry_point, branch.context, branch.thread)
     continue
-#ENDIF
 $INC_PRED
 thread = branch.thread
 if thread != cur_thread:
@@ -725,7 +712,6 @@ completed = sequence - $CDELAY
 while gpq_items and gpq_items[0].sequence <= completed:
     due = gpq_popleft()
     #APPLY due
-$SYNC_DRAIN
 #IF FOLD
 # --- RunStats.record inlined over local accumulators -----------------
 s_branches += 1
@@ -1064,7 +1050,6 @@ K_SGTI = _K_SGTI
 K_SGW = _K_SGW
 LONG_T = _LONG
 SHORT_T = _SHORT
-drain_cd = P._staging_drain_countdown
 cur_thread = None
 state = None
 gpv = None
@@ -1210,15 +1195,15 @@ _BARE_SUBS = {
     "INC_DYN": "n_dyn += 1",
     "INC_SUR": "n_sur += 1",
     "INC_RST": "n_rst += 1",
-    "SYNC_DRAIN": "pass",
 }
 
-_OBSERVED_SUBS = {
+# ``outcomes`` hands control to the consumer at every yield, so its
+# predictor counters are attribute updates, never locals.
+_OUTCOME_SUBS = {
     "INC_PRED": "P.predictions += 1",
     "INC_DYN": "P.dynamic_predictions += 1",
     "INC_SUR": "P.surprise_branches += 1",
     "INC_RST": "P.restarts += 1",
-    "SYNC_DRAIN": "P._staging_drain_countdown = drain_cd",
 }
 
 
@@ -1283,13 +1268,16 @@ def generate_kernel_source(shape: Tuple) -> str:
         begin_stream,
     ]
 
-    bare_counters = "n_pred = 0\nn_dyn = 0\nn_sur = 0\nn_rst = 0\n"
+    bare_prologue = (
+        "n_pred = 0\nn_dyn = 0\nn_sur = 0\nn_rst = 0\n"
+        "drain_cd = P._staging_drain_countdown\n"
+    )
 
-    # -- counted_bare ----------------------------------------------------
+    # -- counted: the allocation-free stats-folding loop -----------------
     parts.append(
-        "def counted_bare(P, stream, stats):\n"
+        "def counted(P, stream, stats):\n"
         + _indent(hoists, 4)
-        + _indent(bare_counters, 4)
+        + _indent(bare_prologue, 4)
         + _indent(_STATS_LOCALS, 4)
         + "    try:\n"
         + "        for branch in stream:\n"
@@ -1300,31 +1288,11 @@ def generate_kernel_source(shape: Tuple) -> str:
         + "    return s_branches\n"
     )
 
-    # -- counted_observed ------------------------------------------------
+    # -- warmup: the allocation-free uncounted prefix ---------------------
     parts.append(
-        "def counted_observed(P, stream, stats, observer, extra):\n"
+        "def warmup(P, stream, warmup_branches):\n"
         + _indent(hoists, 4)
-        + "    stats_record = stats.record\n"
-        + "    count = 0\n"
-        + "    try:\n"
-        + "        for branch in stream:\n"
-        + _indent(core({"ALLOC": True}, _OBSERVED_SUBS), 12)
-        + "            if observer is not None:\n"
-        + "                observer(outcome)\n"
-        + "            stats_record(outcome)\n"
-        + "            if extra is not None:\n"
-        + "                extra(outcome)\n"
-        + "            count += 1\n"
-        + "    finally:\n"
-        + "        P._staging_drain_countdown = drain_cd\n"
-        + "    return count\n"
-    )
-
-    # -- warmup_bare -----------------------------------------------------
-    parts.append(
-        "def warmup_bare(P, stream, warmup_branches):\n"
-        + _indent(hoists, 4)
-        + _indent(bare_counters, 4)
+        + _indent(bare_prologue, 4)
         + "    consumed = 0\n"
         + "    try:\n"
         + "        for branch in stream:\n"
@@ -1337,64 +1305,21 @@ def generate_kernel_source(shape: Tuple) -> str:
         + "    return consumed\n"
     )
 
-    # -- warmup_observed -------------------------------------------------
+    # -- outcomes: one PredictionOutcome per branch, pulled on demand ----
+    # Consumer code runs at every yield (observers, samplers, injectors,
+    # the cycle engine's restarts), so the drain countdown is re-read
+    # after each resume and written back, even on an exception, before
+    # the outcome leaves.
     parts.append(
-        "def warmup_observed(P, stream, warmup_branches, observer):\n"
+        "def outcomes(P, stream):\n"
         + _indent(hoists, 4)
-        + "    consumed = 0\n"
-        + "    try:\n"
-        + "        for branch in stream:\n"
-        + _indent(core({"ALLOC": True}, _OBSERVED_SUBS), 12)
-        + "            observer(outcome)\n"
-        + "            consumed += 1\n"
-        + "            if consumed == warmup_branches:\n"
-        + "                break\n"
-        + "    finally:\n"
-        + "        P._staging_drain_countdown = drain_cd\n"
-        + "    return consumed\n"
-    )
-
-    # -- events_bare -----------------------------------------------------
-    parts.append(
-        "def events_bare(P, stream, stats):\n"
-        + _indent(hoists, 4)
-        + _indent(bare_counters, 4)
-        + _indent(_STATS_LOCALS, 4)
-        + "    try:\n"
-        + "        for branch in stream:\n"
-        + _indent(core({"FOLD": True, "EVENTS": True}, _BARE_SUBS), 12)
-        + "    finally:\n"
-        + _indent(_PREDICTOR_FLUSH, 8)
-        + _indent(_STATS_FLUSH, 8)
-        + "    return s_branches\n"
-    )
-
-    # -- events_observed -------------------------------------------------
-    parts.append(
-        "def events_observed(P, stream, stats, observer, extra):\n"
-        + _indent(hoists, 4)
-        + "    stats_record = stats.record\n"
-        + "    count = 0\n"
-        + "    try:\n"
-        + "        for branch in stream:\n"
-        + _indent(core({"ALLOC": True, "EVENTS": True}, _OBSERVED_SUBS), 12)
-        + "            if observer is not None:\n"
-        + "                observer(outcome)\n"
-        + "            stats_record(outcome)\n"
-        + "            if extra is not None:\n"
-        + "                extra(outcome)\n"
-        + "            count += 1\n"
-        + "    finally:\n"
-        + "        P._staging_drain_countdown = drain_cd\n"
-        + "    return count\n"
-    )
-
-    # -- predict_flat ----------------------------------------------------
-    parts.append(
-        "def predict_flat(P, branch):\n"
-        + _indent(hoists, 4)
-        + _indent(core({"ALLOC": True}, _OBSERVED_SUBS), 4)
-        + "    return outcome\n"
+        + "    for branch in stream:\n"
+        + "        drain_cd = P._staging_drain_countdown\n"
+        + "        try:\n"
+        + _indent(core({"ALLOC": True}, _OUTCOME_SUBS), 12)
+        + "        finally:\n"
+        + "            P._staging_drain_countdown = drain_cd\n"
+        + "        yield outcome\n"
     )
 
     return "\n".join(parts)

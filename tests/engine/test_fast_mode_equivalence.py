@@ -133,9 +133,10 @@ def test_observed_kernels_match_reference_with_observer():
 
 
 def test_telemetry_session_matches_reference():
-    """Telemetry harvests component counters mid-run, so the observed
-    kernels must keep per-branch attribute updates visible — locals-only
-    counter caching would silently zero every interval."""
+    """Telemetry harvests component counters mid-run, so the compiled
+    ``outcomes`` generator must keep per-branch attribute updates
+    visible — locals-only counter caching would silently zero every
+    interval."""
     _, stats_ref, pred_ref = _run_mode("reference", telemetry=True,
                                        warmup=300)
     _, stats_fast, pred_fast = _run_mode("fast", telemetry=True, warmup=300)
@@ -194,7 +195,7 @@ def test_run_branches_matches_reference():
 
 
 def test_run_interleaved_matches_reference():
-    """The events kernel handles ContextSwitch records inline; an
+    """The compiled kernels handle ContextSwitch records inline; an
     interleaved multi-context run must commit identically."""
     results = []
     for mode in ("reference", "fast"):
@@ -210,16 +211,32 @@ def test_run_interleaved_matches_reference():
     assert results[0] == results[1]
 
 
-def test_cycle_engine_fast_mode_matches_reference():
+@pytest.mark.parametrize("generation", sorted(GENERATIONS))
+@pytest.mark.parametrize("drive", ["program", "smt2"])
+def test_cycle_engine_fast_mode_matches_reference(drive, generation):
+    """Both cycle drives on every generation.  SMT2 restarts each thread
+    from the engine's own source generator while the compiled
+    ``outcomes`` generator is suspended, so it pins the between-yield
+    contract the plain program drive never exercises."""
+    factory, _ = GENERATIONS[generation]
     results = []
     for mode in ("reference", "fast"):
-        predictor = LookaheadBranchPredictor(z15_config())
-        engine = CycleEngine(predictor, engine_mode=mode)
-        stats = engine.run_program(
-            get_workload("transactions", DEFAULT_TEST_SEED),
-            max_branches=900, seed=DEFAULT_TEST_SEED,
-        )
-        results.append((stats.cycles, comparable_stats(stats.accuracy),
+        predictor = LookaheadBranchPredictor(factory())
+        if drive == "smt2":
+            engine = CycleEngine(predictor, smt2=True, engine_mode=mode)
+            stats = engine.run_smt2(
+                get_workload("compute-kernel", DEFAULT_TEST_SEED),
+                get_workload("dispatch", DEFAULT_TEST_SEED),
+                max_branches=1200, seed=DEFAULT_TEST_SEED,
+            )
+        else:
+            engine = CycleEngine(predictor, engine_mode=mode)
+            stats = engine.run_program(
+                get_workload("transactions", DEFAULT_TEST_SEED),
+                max_branches=900, seed=DEFAULT_TEST_SEED,
+            )
+        results.append((stats.cycles, stats.instructions,
+                        comparable_stats(stats.accuracy),
                         predictor_fingerprint(predictor)))
     assert results[0] == results[1]
 

@@ -1,19 +1,22 @@
 """Direct contract of :mod:`repro.engine.kernel` — the shared consume
 sequence every engine drives.
 
-Until now this module was only exercised through the engines; these
-tests pin its own guarantees: the observer chain order (explicit
-observer → telemetry → injector), single-consumer unwrapping (no
-indirection for the common one-hook case), and the ``run_warmup``
-dry-stream edge where the stream ends before warmup does.
+These tests pin the module's own guarantees, apart from the engines:
+the observer chain order (explicit observer → telemetry → injector),
+single-consumer unwrapping (no indirection for the common one-hook
+case), the observer → record → extra order of the counted loop, the
+reference outcome iterator pulling one item per outcome, and the
+``run_warmup`` dry-stream edge where the stream ends before warmup
+does.
 """
 
 from repro.engine.kernel import (
     _chain_observers,
     drive_counted,
-    predict_one,
+    reference_outcomes,
     run_warmup,
 )
+from repro.workloads.multi import ContextSwitch
 
 
 class _Hook:
@@ -25,6 +28,20 @@ class _Hook:
 
     def observe(self, outcome):
         self.log.append((self.name, outcome))
+
+
+class _Predictor:
+    """A predictor-shaped stand-in: upper-cases each branch and logs
+    context switches."""
+
+    def __init__(self):
+        self.switches = []
+
+    def predict_and_resolve(self, branch):
+        return branch.upper()
+
+    def context_switch(self, address, context, thread=0):
+        self.switches.append((address, context, thread))
 
 
 # ----------------------------------------------------------------------
@@ -74,32 +91,30 @@ def test_two_consumer_chain_skips_the_missing_slot():
 
 
 # ----------------------------------------------------------------------
-# predict_one / drive_counted: consume-sequence order
+# drive_counted: consume-sequence order
 # ----------------------------------------------------------------------
 
 
-def test_predict_one_runs_observer_before_record():
+def test_drive_counted_runs_observer_before_record():
     log = []
-    outcome = predict_one(
-        lambda branch: f"outcome-{branch}",
-        "b1",
-        lambda outcome: log.append(("observer", outcome)),
+    count = drive_counted(
+        iter(["outcome-b1"]),
         lambda outcome: log.append(("record", outcome)),
+        observer=lambda outcome: log.append(("observer", outcome)),
     )
-    assert outcome == "outcome-b1"
+    assert count == 1
     assert log == [("observer", "outcome-b1"), ("record", "outcome-b1")]
 
 
-def test_predict_one_without_observer_still_records():
+def test_drive_counted_without_observer_still_records():
     log = []
-    predict_one(lambda branch: branch, "b1", None, log.append)
+    assert drive_counted(iter(["b1"]), log.append) == 1
     assert log == ["b1"]
 
 
 def test_drive_counted_order_with_all_consumers():
     log = []
     drive_counted(
-        lambda branch: branch,
         iter(["b1", "b2"]),
         lambda outcome: log.append(("record", outcome)),
         observer=lambda outcome: log.append(("observer", outcome)),
@@ -113,8 +128,28 @@ def test_drive_counted_order_with_all_consumers():
 
 def test_drive_counted_bare_path_records_everything():
     recorded = []
-    drive_counted(lambda branch: branch, iter(range(5)), recorded.append)
+    assert drive_counted(iter(range(5)), recorded.append) == 5
     assert recorded == [0, 1, 2, 3, 4]
+
+
+# ----------------------------------------------------------------------
+# reference_outcomes
+# ----------------------------------------------------------------------
+
+
+def test_reference_outcomes_pulls_one_item_per_outcome():
+    stream = iter(["b1", "b2", "b3"])
+    outcomes = reference_outcomes(_Predictor(), stream)
+    assert next(outcomes) == "B1"
+    assert list(stream) == ["b2", "b3"]
+
+
+def test_reference_outcomes_applies_context_switches_silently():
+    predictor = _Predictor()
+    switch = ContextSwitch(context=3, thread=1, entry_point=0x4000)
+    outcomes = list(reference_outcomes(predictor, ["b1", switch, "b2"]))
+    assert outcomes == ["B1", "B2"]
+    assert predictor.switches == [(0x4000, 3, 1)]
 
 
 # ----------------------------------------------------------------------
@@ -124,15 +159,15 @@ def test_drive_counted_bare_path_records_everything():
 
 def test_run_warmup_consumes_exactly_the_prefix():
     stream = iter(["b1", "b2", "b3", "b4"])
-    consumed = run_warmup(lambda branch: branch, stream, 2, None)
+    consumed = run_warmup(reference_outcomes(_Predictor(), stream), 2, None)
     assert consumed == 2
     assert list(stream) == ["b3", "b4"]
 
 
 def test_run_warmup_shows_warmup_branches_to_the_observer():
     seen = []
-    consumed = run_warmup(lambda branch: branch.upper(), iter(["b1", "b2"]),
-                          2, seen.append)
+    outcomes = reference_outcomes(_Predictor(), iter(["b1", "b2"]))
+    consumed = run_warmup(outcomes, 2, seen.append)
     assert consumed == 2
     assert seen == ["B1", "B2"]
 
@@ -141,6 +176,6 @@ def test_run_warmup_dry_stream_reports_short_count():
     """A stream shorter than the warmup budget must report how many
     branches it actually consumed — the engines use the exact-match
     return to decide whether the instruction baseline is trustworthy."""
-    consumed = run_warmup(lambda branch: branch, iter(["b1"]), 10, None)
+    consumed = run_warmup(iter(["b1"]), 10, None)
     assert consumed == 1
-    assert run_warmup(lambda branch: branch, iter([]), 10, None) == 0
+    assert run_warmup(iter([]), 10, None) == 0
